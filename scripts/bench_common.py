@@ -8,8 +8,10 @@ two agree, and records one uniform JSON schema::
       "benchmark":   "<name>",
       "workload":    {...},                  # script-specific knobs/sizes
       "workers":     <int>,                  # process-pool size of the fast
-                                             # engine (absent when serial)
-      "machine":     {python, implementation, machine, cpu_count},
+                                             # engine (absent when serial;
+                                             # never above usable_cpus)
+      "machine":     {python, implementation, machine, cpu_count,
+                      usable_cpus},
       "engines": {
         "fast":   {engine, wall_clock_s, per_second},
         "oracle": {engine, wall_clock_s, per_second}   # absent with --skip
@@ -35,6 +37,26 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which a
+    container or ``taskset`` can make smaller than ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def check_workers(workers: Optional[int]) -> None:
+    """Refuse a process-pool size above the usable CPUs: such a run
+    times oversubscription, not parallel speedup."""
+    if workers is not None and workers > usable_cpus():
+        raise ValueError(
+            f"workers={workers} exceeds the {usable_cpus()} usable CPUs; "
+            "a timing from more workers than CPUs is not a parallel "
+            "measurement"
+        )
+
+
 def machine_info() -> Dict[str, Any]:
     """The fields needed to interpret a wall-clock number later."""
     return {
@@ -42,6 +64,7 @@ def machine_info() -> Dict[str, Any]:
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
     }
 
 
@@ -175,8 +198,10 @@ def build_record(
     ``workers`` records the process-pool size behind the fast engine's
     timing (sharded fleet / DSE runs); omit it for serial engines so a
     sharded artifact is distinguishable — and reproducible — from the
-    JSON alone.
+    JSON alone.  A pool larger than the usable CPUs raises
+    (:func:`check_workers`).
     """
+    check_workers(workers)
     record: Dict[str, Any] = {
         "benchmark": benchmark,
         "workload": workload,

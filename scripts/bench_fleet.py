@@ -34,8 +34,10 @@ import numpy as np
 
 from bench_common import (
     build_record,
+    check_workers,
     engine_record,
     timed,
+    usable_cpus,
     write_record,
 )
 
@@ -51,8 +53,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=8,
-        help="process-pool size for the sharded run",
+        default=usable_cpus(),
+        help="process-pool size for the sharded run (default: the usable "
+        "CPUs; more is refused)",
     )
     parser.add_argument(
         "--rate-scale",
@@ -80,6 +83,7 @@ def main(argv=None) -> int:
         help="only time the vectorized paths (no oracle, no speedup field)",
     )
     args = parser.parse_args(argv)
+    check_workers(args.workers)
 
     context = build_context(platform_names=[BASELINE_NAME])
     envelope = tuple(r * args.rate_scale for r in DEFAULT_RATE_ENVELOPE)

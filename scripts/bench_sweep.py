@@ -107,6 +107,7 @@ def main(argv=None) -> int:
         fast=fast,
         oracle=oracle,
         check_hash=digest(fast_results),
+        workers=args.workers,
     )
     write_record(args.output, record)
     print(f"wrote {args.output}")

@@ -327,12 +327,9 @@ def run_chaos_vectorized(
     observe_app = policy.observe_app
     service_time = sim._service_time
 
-    app_names = list(dict.fromkeys(trace.app_names))
-    name_to_id = {name: i for i, name in enumerate(app_names)}
+    app_names = list(trace.app_catalog)
     n_apps = len(app_names)
-    app_ids = np.fromiter(
-        (name_to_id[name] for name in trace.app_names), dtype=np.intp, count=n
-    )
+    app_ids = trace.app_ids.astype(np.intp)
     known = np.array(
         [name in sim._applications for name in app_names], dtype=bool
     )

@@ -127,7 +127,7 @@ def run_control_event(
     key_for = policy.key.key_for
     service_time = sim._service_time
 
-    app_names = list(dict.fromkeys(trace.app_names))
+    app_names = list(trace.app_catalog)
     name_to_id = {name: i for i, name in enumerate(app_names)}
     state = ControllerState(plane, sim._max_instances, app_names)
     windows = state.windows_active
@@ -417,12 +417,9 @@ def run_control_vectorized(
     observe_app = policy.observe_app
     service_time = sim._service_time
 
-    app_names = list(dict.fromkeys(trace.app_names))
-    name_to_id = {name: i for i, name in enumerate(app_names)}
+    app_names = list(trace.app_catalog)
     n_apps = len(app_names)
-    app_ids = np.fromiter(
-        (name_to_id[name] for name in trace.app_names), dtype=np.intp, count=n
-    )
+    app_ids = trace.app_ids.astype(np.intp)
     known = np.array(
         [name in sim._applications for name in app_names], dtype=bool
     )

@@ -36,7 +36,8 @@ end state.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
@@ -55,6 +56,8 @@ _CHUNK_MAX = 32_768
 # depth) the engine steps serially (pass C): drops arrive one by one there
 # and chunked passes would be cut to confetti.
 _CAPACITY_MARGIN = 64
+
+_INF = float("inf")
 
 
 def sample_tick_times(
@@ -135,8 +138,7 @@ class _ServicePools:
         values = np.empty(len(app_ids))
         events: List[Tuple[int, int, int]] = []
         positions: Dict[int, np.ndarray] = {}
-        for app_id in np.unique(app_ids):
-            app_id = int(app_id)
+        for app_id in np.flatnonzero(np.bincount(app_ids)).tolist():
             name = self._app_names[app_id]
             pos = np.nonzero(app_ids == app_id)[0]
             positions[app_id] = pos
@@ -251,6 +253,95 @@ class _ServicePools:
                 sim._service_trim[name] = trim + consumed
 
 
+class Departures:
+    """In-service completion times, retired in bulk.
+
+    Batched commits merge their completions into one sorted run, so
+    moving the clock to an arrival at ``now`` retires every completion
+    ``< now`` with one bisect instead of one heap pop each.  Completions
+    started one at a time (serial steps, keyed dispatch) go to a small
+    heap.  Ties follow the event queue: an arrival ranks before an
+    equal-time completion, so a completion at exactly ``now`` stays in
+    service.
+    """
+
+    __slots__ = ("_arr", "_list", "_head", "_next", "_heap")
+
+    def __init__(self) -> None:
+        self._arr = np.empty(0)  # sorted run; _list mirrors it
+        self._list: List[float] = []
+        self._head = 0  # completions before _head have departed
+        self._next = _INF  # _list[_head], or +inf past the end
+        self._heap: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self._list) - self._head + len(self._heap)
+
+    def _reset(self, merged: np.ndarray) -> None:
+        self._arr = merged
+        self._list = merged.tolist()
+        self._head = 0
+        self._next = self._list[0] if self._list else _INF
+
+    def next_time(self) -> float:
+        """The earliest in-service completion (+inf when idle)."""
+        heap = self._heap
+        if heap and heap[0] < self._next:
+            return heap[0]
+        return self._next
+
+    def depart_before(self, now: float) -> None:
+        """Retire every completion strictly before ``now``."""
+        if self._next < now:
+            head = bisect_left(self._list, now, self._head)
+            self._head = head
+            self._next = self._list[head] if head < len(self._list) else _INF
+        heap = self._heap
+        while heap and heap[0] < now:
+            heappop(heap)
+
+    def pop(self) -> float:
+        """Retire and return the earliest in-service completion."""
+        heap = self._heap
+        if heap and heap[0] < self._next:
+            return heappop(heap)
+        done = self._next
+        head = self._head + 1
+        self._head = head
+        self._next = self._list[head] if head < len(self._list) else _INF
+        return done
+
+    def push(self, completion: float) -> None:
+        """Add one serially started completion."""
+        heappush(self._heap, completion)
+
+    def sorted(self) -> np.ndarray:
+        """Every in-service completion, ascending."""
+        if self._heap:
+            merged = np.concatenate([self._arr[self._head :], self._heap])
+            merged.sort()
+            self._heap = []
+            self._reset(merged)
+        return self._arr[self._head :]
+
+    def add_sorted(self, completions: np.ndarray) -> None:
+        """Merge a batch of completions, given in ascending order."""
+        live = self.sorted()
+        self._reset(
+            np.insert(
+                completions, np.searchsorted(completions, live), live
+            )
+        )
+
+    def drain(self) -> List[float]:
+        """Every in-service completion as a heap list; empties self."""
+        items = self._list[self._head :] + self._heap
+        heapify(items)
+        self._heap = []
+        self._reset(np.empty(0))
+        return items
+
+
 def run_vectorized(
     sim: "RackSimulation",
     trace: "RequestTrace",
@@ -270,14 +361,9 @@ def run_vectorized(
     capacity = c + qmax
     serial_threshold = max(c, capacity - _CAPACITY_MARGIN)
 
-    app_names = list(dict.fromkeys(trace.app_names))
-    name_to_id = {name: i for i, name in enumerate(app_names)}
+    app_names = list(trace.app_catalog)
     n_apps = len(app_names)
-    app_ids = np.fromiter(
-        (name_to_id[name] for name in trace.app_names),
-        dtype=np.intp,
-        count=n,
-    )
+    app_ids = trace.app_ids.astype(np.intp)
     known = np.array(
         [name in sim._applications for name in app_names], dtype=bool
     )
@@ -290,19 +376,15 @@ def run_vectorized(
     drop_times: List[float] = []
 
     avail: List[float] = [0.0] * c  # heap of server-free times
-    pending: List[float] = []  # heap of in-system completion times
-    admitted_count = 0
-    departed_count = 0
+    pending = Departures()  # in-system completion times
     arrivals_list = arrivals.tolist()
 
     i = 0
     chunk_size = _CHUNK_MIN
     while i < n:
         now = arrivals_list[i]
-        while pending and pending[0] < now:
-            heapq.heappop(pending)
-            departed_count += 1
-        in_system = admitted_count - departed_count
+        pending.depart_before(now)
+        in_system = len(pending)
 
         # ---- Pass C: serial steps near the admission limit ----------
         if in_system >= serial_threshold:
@@ -315,12 +397,11 @@ def run_vectorized(
             free = avail[0]
             start = now if now > free else free
             completion = start + service
-            heapq.heapreplace(avail, completion)
-            heapq.heappush(pending, completion)
+            heapreplace(avail, completion)
+            pending.push(completion)
             start_times[i] = start
             completion_times[i] = completion
             admitted[i] = True
-            admitted_count += 1
             i += 1
             continue
 
@@ -339,8 +420,7 @@ def run_vectorized(
         m = hi - i
         arr = arrivals[chunk]
         values, events, snapshot = pools.peek(app_ids[chunk])
-        pend_sorted = np.sort(np.asarray(pending))
-        dep_pend = np.searchsorted(pend_sorted, arr, side="left")
+        dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
         offsets = np.arange(m)
 
         committed = -1  # sentinel: chunk not resolved yet
@@ -350,7 +430,8 @@ def run_vectorized(
         # ---- Pass A: contention-free chunk (all starts immediate) ---
         if in_system < c:
             comp_opt = arr + values
-            dep_chunk = np.searchsorted(np.sort(comp_opt), arr, side="left")
+            comp_sorted = np.sort(comp_opt)
+            dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
             n_before = in_system + offsets - dep_pend - dep_chunk
             crossing = np.nonzero(n_before >= c)[0]
             cut = int(crossing[0]) if crossing.size else m
@@ -366,7 +447,6 @@ def run_vectorized(
             comps_l: List[float] = []
             append_start = starts_l.append
             append_comp = comps_l.append
-            heapreplace = heapq.heapreplace
             for arrival_t, service_t in zip(
                 arrivals_list[i:hi], values.tolist()
             ):
@@ -377,7 +457,8 @@ def run_vectorized(
                 append_comp(completion)
                 heapreplace(heap, completion)
             comps_b = np.asarray(comps_l)
-            dep_chunk = np.searchsorted(np.sort(comps_b), arr, side="left")
+            comp_sorted = np.sort(comps_b)
+            dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
             n_before = in_system + offsets - dep_pend - dep_chunk
             over = np.nonzero(n_before >= capacity)[0]
             if over.size:
@@ -397,9 +478,9 @@ def run_vectorized(
             start_times[committed_slice] = starts_arr
             completion_times[committed_slice] = comps_arr
             admitted[committed_slice] = True
-            admitted_count += committed
-            pending.extend(comps_arr.tolist())
-            heapq.heapify(pending)
+            pending.add_sorted(
+                comp_sorted if committed == m else np.sort(comps_arr)
+            )
             if not avail_is_final:
                 # The c server free-times are always the c largest
                 # completions seen so far (pop-min/push-completion keeps
@@ -407,7 +488,7 @@ def run_vectorized(
                 # from the committed prefix without replaying it.
                 merged = np.concatenate([np.asarray(avail), comps_arr])
                 avail = np.partition(merged, -c)[-c:].tolist()
-                heapq.heapify(avail)
+                heapify(avail)
         i += committed
         if drop_after:
             dropped += 1

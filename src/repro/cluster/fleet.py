@@ -237,19 +237,14 @@ class GlobalLoadBalancer:
         self, trace: RequestTrace, n_racks: int
     ) -> np.ndarray:
         """Hash-affinity: every application sticks to one rack."""
-        names = np.asarray(trace.app_names, dtype=object)
-        if names.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        unique, inverse = np.unique(names, return_inverse=True)
         rack_of_app = np.array(
             [
-                _splitmix64(self.seed ^ _stable_app_hash(str(name)))
-                % n_racks
-                for name in unique
+                _splitmix64(self.seed ^ _stable_app_hash(name)) % n_racks
+                for name in trace.app_catalog
             ],
             dtype=np.int64,
         )
-        return rack_of_app[inverse]
+        return rack_of_app[trace.app_ids]
 
     # ------------------------------------------------------------- shard
     def shard(
@@ -261,20 +256,30 @@ class GlobalLoadBalancer:
         shard of a time-ordered trace stays time-ordered, so every rack
         runs on a vectorized engine) and every shard spans the full
         fleet ``duration_seconds`` so per-rack sample grids line up.
+        Each shard carries its own first-appearance catalog.
         """
+        n_racks = len(topology)
         assignment = self.assign(trace, topology)
-        arrivals = trace.arrival_seconds
-        names = np.asarray(trace.app_names, dtype=object)
+        # One stable radix sort groups the requests by rack, keeping
+        # trace order inside each group.
+        order = np.argsort(
+            assignment.astype(np.min_scalar_type(n_racks - 1)), kind="stable"
+        )
+        arrivals = np.asarray(trace.arrival_seconds)[order]
+        app_ids = trace.app_ids[order]
+        bounds = np.cumsum(np.bincount(assignment, minlength=n_racks))
         shards: List[RequestTrace] = []
-        for index in range(len(topology)):
-            mask = assignment == index
+        lo = 0
+        for hi in bounds.tolist():
             shards.append(
                 RequestTrace(
-                    arrival_seconds=arrivals[mask],
-                    app_names=tuple(names[mask]),
+                    arrival_seconds=arrivals[lo:hi],
+                    app_ids=app_ids[lo:hi],
+                    app_catalog=trace.app_catalog,
                     duration_seconds=trace.duration_seconds,
                 )
             )
+            lo = hi
         return shards
 
     def shard_sizes(

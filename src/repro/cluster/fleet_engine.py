@@ -465,7 +465,11 @@ class FleetRunner:
                     else 0
                 ),
                 wall_clock_seconds=streamed.wall_clock_seconds,
-                mean_latency_seconds=streamed.mean_latency_seconds,
+                mean_latency_seconds=(
+                    streamed.mean_latency_seconds
+                    if streamed.completed_count
+                    else float("nan")
+                ),
                 check_hash=streamed_check_hash(
                     streamed, repr(simulation._rng.bit_generator.state)
                 ),

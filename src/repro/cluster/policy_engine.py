@@ -15,10 +15,11 @@ reorder anything.  This engine exploits exactly that split:
   that would have to queue.
 - **Keyed dispatch kernel (congested stretches).**  Once the fleet
   saturates, each completion dispatches the queued request minimizing
-  ``(*key, sequence)``.  The kernel runs two primitive heaps — float
-  completion times and raw key tuples — with no event objects, no
-  callbacks, and no per-event queue scans, which is what makes policy
-  sweeps at paper scale feasible.  Service times are drawn through
+  ``(*key, sequence)``.  The kernel keeps float completion times in a
+  :class:`~repro.cluster.fast_engine.Departures` tracker and raw key
+  tuples in a heap — no event objects, no callbacks, and no per-event
+  queue scans, which is what makes policy sweeps at paper scale
+  feasible.  Service times are drawn through
   ``RackSimulation._service_time`` at each dispatch, i.e. in exactly the
   oracle's order.
 - **Series reconstruction.**  Queue-depth / busy-instance series are
@@ -36,7 +37,7 @@ the keyed twin of ``tests/test_rack_equivalence.py``).
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, List
 
 import numpy as np
@@ -44,6 +45,7 @@ import numpy as np
 from repro.cluster.fast_engine import (
     _CHUNK_MAX,
     _CHUNK_MIN,
+    Departures,
     _ServicePools,
     sample_tick_times,
 )
@@ -73,14 +75,9 @@ def run_keyed(
     c = sim._max_instances
     qmax = sim._queue_depth
 
-    app_names = list(dict.fromkeys(trace.app_names))
-    name_to_id = {name: i for i, name in enumerate(app_names)}
+    app_names = list(trace.app_catalog)
     n_apps = len(app_names)
-    app_ids = np.fromiter(
-        (name_to_id[name] for name in trace.app_names),
-        dtype=np.intp,
-        count=n,
-    )
+    app_ids = trace.app_ids.astype(np.intp)
     known = np.array(
         [name in sim._applications for name in app_names], dtype=bool
     )
@@ -92,9 +89,9 @@ def run_keyed(
     # these on every congested dispatch.
     prefixes = [policy.key.key_for(name) for name in app_names]
 
-    # Primitive-heap state: ``pending`` holds in-service completion
-    # times (len == busy instances), ``queue`` the keyed entries.
-    pending: List[float] = []
+    # Primitive state: ``pending`` holds in-service completion times
+    # (len == busy instances), ``queue`` is a heap of keyed entries.
+    pending = Departures()
     queue: List[tuple] = []
     dropped = 0
     drop_times: List[float] = []
@@ -119,7 +116,7 @@ def run_keyed(
         arrival_t = entry[-2]
         service = service_time(app_names[entry[-1]])
         completion = now + service
-        heappush(pending, completion)
+        pending.push(completion)
         queued_starts.append(now)
         start_arrivals.append(arrival_t)
         start_completions.append(completion)
@@ -130,11 +127,11 @@ def run_keyed(
         now = arrivals_list[i]
         # Completions strictly before this arrival fire first (equal
         # timestamps fire after: arrival < tick < completion), each one
-        # handing its server to the current min-key queued request.
-        while pending and pending[0] < now:
-            freed_at = heappop(pending)
-            if queue:
-                dispatch(freed_at)
+        # handing its server to the current min-key queued request;
+        # once the queue is empty the rest just retire.
+        while queue and pending.next_time() < now:
+            dispatch(pending.pop())
+        pending.depart_before(now)
         busy = len(pending)
 
         # ---- Pass A: contention-free chunk (all starts immediate) ---
@@ -150,12 +147,10 @@ def run_keyed(
                 m = hi - i
                 arr = arrivals[chunk]
                 values, events, snapshot = pools.peek(app_ids[chunk])
-                pend_sorted = np.sort(np.asarray(pending))
-                dep_pend = np.searchsorted(pend_sorted, arr, side="left")
+                dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
                 comp_opt = arr + values
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr, side="left"
-                )
+                comp_sorted = np.sort(comp_opt)
+                dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
                 n_before = busy + np.arange(m) - dep_pend - dep_chunk
                 crossing = np.nonzero(n_before >= c)[0]
                 cut = int(crossing[0]) if crossing.size else m
@@ -168,12 +163,12 @@ def run_keyed(
                 for committed_id in np.unique(app_ids[i : i + cut]):
                     observe_app(app_names[committed_id])
                 started = arr[:cut].tolist()
-                completions = comp_opt[:cut].tolist()
                 immediate_arrivals.extend(started)
                 start_arrivals.extend(started)
-                start_completions.extend(completions)
-                pending.extend(completions)
-                heapify(pending)
+                start_completions.extend(comp_opt[:cut].tolist())
+                pending.add_sorted(
+                    comp_sorted if cut == m else np.sort(comp_opt[:cut])
+                )
                 i += cut
                 chunk_size = (
                     min(chunk_size * 2, _CHUNK_MAX)
@@ -188,7 +183,7 @@ def run_keyed(
             observe_app(app_names[app_id])
             service = service_time(app_names[app_id])
             completion = now + service
-            heappush(pending, completion)
+            pending.push(completion)
             immediate_arrivals.append(now)
             start_arrivals.append(now)
             start_completions.append(completion)
@@ -217,22 +212,20 @@ def run_keyed(
         )
         values, events, snapshot = pools.peek(drain_ids)
         pools.commit(drain_ids, len(backlog), events, snapshot, n_apps)
+        servers = pending.drain()
         for entry, service in zip(backlog, values.tolist()):
-            freed_at = pending[0]
+            freed_at = servers[0]
             completion = freed_at + service
-            heapreplace(pending, completion)
+            heapreplace(servers, completion)
             queued_starts.append(freed_at)
             start_arrivals.append(entry[-2])
             start_completions.append(completion)
         queue.clear()
-        pending.clear()
     else:
         # Serial fallback: an unknown app in the backlog must fail at
         # its exact dispatch (same SchedulingError, same RNG state).
-        while pending:
-            freed_at = heappop(pending)
-            if queue:
-                dispatch(freed_at)
+        while queue and pending:
+            dispatch(pending.pop())
 
     # ---- Series reconstruction --------------------------------------
     start_arr = np.asarray(start_arrivals)

@@ -56,6 +56,7 @@ from repro.cluster.fast_engine import (
     _CAPACITY_MARGIN,
     _CHUNK_MAX,
     _CHUNK_MIN,
+    Departures,
     _ServicePools,
     sample_tick_times,
 )
@@ -122,11 +123,29 @@ class _TickHist:
     def add_batch(
         self, times: np.ndarray, inclusive: bool, delta: int = 1
     ) -> None:
+        """:meth:`add` for a batch of *ascending* ``times``.
+
+        One search per tick the batch spans instead of one per event:
+        the events observed by tick ``j`` are those at or before it
+        (strictly before, if not ``inclusive``), so each cell's count is
+        a difference of two searches.
+        """
         if len(times) == 0:
             return
-        side = "left" if inclusive else "right"
-        idx = np.searchsorted(self._ticks, times, side=side)
-        np.add.at(self._hist, idx, delta)
+        if inclusive:
+            lo = bisect_left(self._ticks_list, float(times[0]))
+            hi = bisect_left(self._ticks_list, float(times[-1]))
+            side = "right"
+        else:
+            lo = bisect_right(self._ticks_list, float(times[0]))
+            hi = bisect_right(self._ticks_list, float(times[-1]))
+            side = "left"
+        # Events seen by ticks lo..hi-1; cells lo..hi take the increments.
+        seen = delta * np.searchsorted(times, self._ticks[lo:hi], side=side)
+        hist = self._hist
+        hist[lo:hi] += seen
+        hist[lo + 1 : hi + 1] -= seen
+        hist[hi] += delta * len(times)
 
     def series(self) -> np.ndarray:
         return np.cumsum(self._hist[:-1])
@@ -475,8 +494,9 @@ class _CompletionFold:
     - ``presorted=False`` (FCFS/keyed): the engine emits at *admission/
       start* in start order, where completions are not sorted.  The
       engine flushes with a watermark no future completion can undercut
-      (``min(next arrival, pending heap min)``); a stable sort then
-      emits exactly the canonical prefix below it and carries the rest.
+      (``min(next arrival, earliest in-service completion)``); a stable
+      sort then emits exactly the canonical prefix below it and carries
+      the rest.
     """
 
     __slots__ = ("_series", "_limit", "_presorted", "_parts", "_scalars",
@@ -675,9 +695,9 @@ def run_streaming_fcfs(
 ) -> StreamedSeries:
     """Streaming port of :func:`~repro.cluster.fast_engine.run_vectorized`.
 
-    Identical heaps, pass A/B/C structure, and RNG rollback; arrivals
-    come through a :class:`_ChunkCursor` window and results fold into a
-    :class:`StreamedSeries` instead of whole-trace arrays.
+    Identical departures, pass A/B/C structure, and RNG rollback;
+    arrivals come through a :class:`_ChunkCursor` window and results
+    fold into a :class:`StreamedSeries` instead of whole-trace arrays.
     """
     cursor = _ChunkCursor(source, chunk_requests)
     _check_first_arrival(cursor)
@@ -713,9 +733,7 @@ def run_streaming_fcfs(
     )
 
     avail: List[float] = [0.0] * c  # heap of server-free times
-    pending: List[float] = []  # heap of in-system completion times
-    admitted_count = 0
-    departed_count = 0
+    pending = Departures()  # in-system completion times
 
     chunk_size = _CHUNK_MIN
     next_compact = chunk_requests
@@ -730,11 +748,9 @@ def run_streaming_fcfs(
             pools.compact()
             next_compact = cursor.index + chunk_requests
         if len(fold) >= fold.limit:
-            fold.flush(min(now, pending[0]) if pending else now)
-        while pending and pending[0] < now:
-            heappop(pending)
-            departed_count += 1
-        in_system = admitted_count - departed_count
+            fold.flush(min(now, pending.next_time()))
+        pending.depart_before(now)
+        in_system = len(pending)
 
         # ---- Pass C: serial steps near the admission limit ----------
         if in_system >= serial_threshold:
@@ -748,7 +764,7 @@ def run_streaming_fcfs(
             start = now if now > free else free
             completion = start + service
             heapreplace(avail, completion)
-            heappush(pending, completion)
+            pending.push(completion)
             if start <= now:
                 imm_hist.add(now, inclusive=True)
             else:
@@ -756,7 +772,6 @@ def run_streaming_fcfs(
                 qstart_hist.add(start, inclusive=False)
             comp_hist.add(completion, inclusive=False)
             fold.emit(completion, completion - now)
-            admitted_count += 1
             continue
 
         # ---- Chunked passes -----------------------------------------
@@ -775,8 +790,7 @@ def run_streaming_fcfs(
         ids = window_ids[:hi]
         m = hi
         values, events, snapshot = pools.peek(ids)
-        pend_sorted = np.sort(np.asarray(pending))
-        dep_pend = np.searchsorted(pend_sorted, arr, side="left")
+        dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
         offsets = np.arange(m)
 
         committed = -1  # sentinel: chunk not resolved yet
@@ -787,7 +801,8 @@ def run_streaming_fcfs(
         # ---- Pass A: contention-free chunk (all starts immediate) ---
         if in_system < c:
             comp_opt = arr + values
-            dep_chunk = np.searchsorted(np.sort(comp_opt), arr, side="left")
+            comp_sorted = np.sort(comp_opt)
+            dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
             n_before = in_system + offsets - dep_pend - dep_chunk
             crossing = np.nonzero(n_before >= c)[0]
             cut = int(crossing[0]) if crossing.size else m
@@ -812,7 +827,8 @@ def run_streaming_fcfs(
                 append_comp(completion)
                 heapreplace(heap, completion)
             comps_b = np.asarray(comps_l)
-            dep_chunk = np.searchsorted(np.sort(comps_b), arr, side="left")
+            comp_sorted = np.sort(comps_b)
+            dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
             n_before = in_system + offsets - dep_pend - dep_chunk
             over = np.nonzero(n_before >= capacity)[0]
             if over.size:
@@ -830,9 +846,9 @@ def run_streaming_fcfs(
         pools.compact()
         if committed:
             arr_c = arr[:committed]
-            admitted_count += committed
-            pending.extend(comps_arr.tolist())
-            heapify(pending)
+            if committed < m:
+                comp_sorted = np.sort(comps_arr)
+            pending.add_sorted(comp_sorted)
             if not avail_is_final:
                 merged = np.concatenate([np.asarray(avail), comps_arr])
                 avail = np.partition(merged, -c)[-c:].tolist()
@@ -846,7 +862,7 @@ def run_streaming_fcfs(
                 qstart_hist.add_batch(
                     starts_arr[~immediate], inclusive=False
                 )
-            comp_hist.add_batch(comps_arr, inclusive=False)
+            comp_hist.add_batch(comp_sorted, inclusive=False)
             fold.emit_batch(comps_arr, comps_arr - arr_c)
         cursor.advance(committed)
         if drop_after:
@@ -874,9 +890,9 @@ def run_streaming_keyed(
 ) -> StreamedSeries:
     """Streaming port of :func:`~repro.cluster.policy_engine.run_keyed`.
 
-    Same primitive heaps, pass-A windows, keyed-dispatch kernel, and
-    batched drain (serial fallback included); telemetry folds into a
-    :class:`StreamedSeries` as the run progresses.
+    Same departures and key heap, pass-A windows, keyed-dispatch
+    kernel, and batched drain (serial fallback included); telemetry
+    folds into a :class:`StreamedSeries` as the run progresses.
     """
     cursor = _ChunkCursor(source, chunk_requests)
     _check_first_arrival(cursor)
@@ -910,7 +926,7 @@ def run_streaming_keyed(
         series, max(chunk_requests, _FOLD_MIN), presorted=False
     )
 
-    pending: List[float] = []
+    pending = Departures()
     queue: List[tuple] = []
     service_time = sim._service_time
     observe_app = policy.observe_app
@@ -921,7 +937,7 @@ def run_streaming_keyed(
         arrival_t = entry[-2]
         service = service_time(app_names[entry[-1]])
         completion = now + service
-        heappush(pending, completion)
+        pending.push(completion)
         qstart_hist.add(now, inclusive=False)
         comp_hist.add(completion, inclusive=False)
         fold.emit(completion, completion - arrival_t)
@@ -938,11 +954,10 @@ def run_streaming_keyed(
             pools.compact()
             next_compact = cursor.index + chunk_requests
         if len(fold) >= fold.limit:
-            fold.flush(min(now, pending[0]) if pending else now)
-        while pending and pending[0] < now:
-            freed_at = heappop(pending)
-            if queue:
-                dispatch(freed_at)
+            fold.flush(min(now, pending.next_time()))
+        while queue and pending.next_time() < now:
+            dispatch(pending.pop())
+        pending.depart_before(now)
         busy = len(pending)
 
         # ---- Pass A: contention-free chunk (all starts immediate) ---
@@ -959,12 +974,10 @@ def run_streaming_keyed(
                 ids = window_ids[:hi]
                 m = hi
                 values, events, snapshot = pools.peek(ids)
-                pend_sorted = np.sort(np.asarray(pending))
-                dep_pend = np.searchsorted(pend_sorted, arr, side="left")
+                dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
                 comp_opt = arr + values
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr, side="left"
-                )
+                comp_sorted = np.sort(comp_opt)
+                dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
                 n_before = busy + np.arange(m) - dep_pend - dep_chunk
                 crossing = np.nonzero(n_before >= c)[0]
                 cut = int(crossing[0]) if crossing.size else m
@@ -974,11 +987,12 @@ def run_streaming_keyed(
                     observe_app(app_names[committed_id])
                 comps_arr = comp_opt[:cut]
                 arr_c = arr[:cut]
+                if cut < m:
+                    comp_sorted = np.sort(comps_arr)
                 imm_hist.add_batch(arr_c, inclusive=True)
-                comp_hist.add_batch(comps_arr, inclusive=False)
+                comp_hist.add_batch(comp_sorted, inclusive=False)
                 fold.emit_batch(comps_arr, comps_arr - arr_c)
-                pending.extend(comps_arr.tolist())
-                heapify(pending)
+                pending.add_sorted(comp_sorted)
                 cursor.advance(cut)
                 chunk_size = (
                     min(chunk_size * 2, _CHUNK_MAX)
@@ -994,7 +1008,7 @@ def run_streaming_keyed(
             observe_app(app_names[app_id])
             service = service_time(app_names[app_id])
             completion = now + service
-            heappush(pending, completion)
+            pending.push(completion)
             imm_hist.add(now, inclusive=True)
             comp_hist.add(completion, inclusive=False)
             fold.emit(completion, completion - now)
@@ -1015,22 +1029,20 @@ def run_streaming_keyed(
         )
         values, events, snapshot = pools.peek(drain_ids)
         pools.commit(drain_ids, len(backlog), events, snapshot, n_apps)
+        servers = pending.drain()
         for entry, service in zip(backlog, values.tolist()):
-            freed_at = pending[0]
+            freed_at = servers[0]
             completion = freed_at + service
-            heapreplace(pending, completion)
+            heapreplace(servers, completion)
             qstart_hist.add(freed_at, inclusive=False)
             comp_hist.add(completion, inclusive=False)
             fold.emit(completion, completion - entry[-2])
         queue.clear()
-        pending.clear()
     else:
         # Serial fallback: an unknown app in the backlog must fail at
         # its exact dispatch (same SchedulingError, same RNG state).
-        while pending:
-            freed_at = heappop(pending)
-            if queue:
-                dispatch(freed_at)
+        while queue and pending:
+            dispatch(pending.pop())
 
     fold.flush(_INF)
     series.busy_instances = (

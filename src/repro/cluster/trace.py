@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from functools import cached_property
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,24 +40,134 @@ class TraceChunk:
     app_ids: np.ndarray
 
 
-@dataclass(frozen=True)
+def _appearance_order(ids: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``ids`` (all in ``range(size)``) in
+    first-appearance order.
+
+    Scans growing prefixes: once a prefix holds every distinct value the
+    rest of the trace is never looked at, so a trace whose apps all show
+    up early costs O(prefix), not O(trace).
+    """
+    present = size
+    stop = 1024
+    while True:
+        values, first = np.unique(ids[:stop], return_index=True)
+        if len(values) == present or stop >= len(ids):
+            return values[np.argsort(first)]
+        if present == size:
+            present = int(np.count_nonzero(np.bincount(ids, minlength=size)))
+        stop *= 8
+
+
+def _columnar(
+    ids: np.ndarray, names: Sequence[str]
+) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """Normalize ``ids`` (indices into ``names``) to the canonical form.
+
+    The canonical catalog holds each app name that occurs in the trace
+    once, in first-appearance order, and the ids index it in the
+    narrowest unsigned dtype that fits.  ``names`` may repeat a name or
+    list names the trace never uses; repeated names share one catalog
+    entry.
+    """
+    names = tuple(names)
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ConfigurationError("app ids must be a one-dimensional array")
+    if ids.size == 0:
+        return np.zeros(0, dtype=np.uint8), ()
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ConfigurationError(f"app ids must be integers, got {ids.dtype}")
+    if int(ids.min()) < 0 or int(ids.max()) >= len(names):
+        raise ConfigurationError(
+            f"app ids out of range for a catalog of {len(names)} names"
+        )
+    order = _appearance_order(ids, len(names)).tolist()
+    catalog = tuple(dict.fromkeys(names[j] for j in order))
+    dtype = np.min_scalar_type(len(catalog) - 1)
+    if ids.dtype == dtype and order == list(range(len(catalog))):
+        return ids, catalog  # already canonical: no per-request work
+    index = {name: k for k, name in enumerate(catalog)}
+    remap = np.zeros(len(names), dtype=dtype)
+    for j in order:
+        remap[j] = index[names[j]]
+    return remap[ids], catalog
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class RequestTrace:
-    """A concrete trace: arrival times and per-request application ids."""
+    """A concrete trace: arrival times and per-request application ids.
+
+    Columnar: ``app_ids[k]`` indexes :attr:`app_catalog`, the trace's
+    unique app names in first-appearance order — the id space every
+    engine, shard and chunk works in.  Ids are stored in the narrowest
+    unsigned dtype that fits the catalog (``uint8`` for the benchmark
+    suite).  Build a trace from ids (``app_ids=`` plus ``app_catalog=``,
+    which may repeat or over-list names: it is normalized) or from
+    per-request names (``app_names``); both give the same columns.
+    :attr:`app_names` is a view derived on first use, for the event
+    oracles and name-based callers.
+    """
 
     arrival_seconds: np.ndarray
-    app_names: Tuple[str, ...]
+    app_ids: np.ndarray
+    app_catalog: Tuple[str, ...]
     duration_seconds: float
 
-    def __post_init__(self) -> None:
-        if len(self.arrival_seconds) != len(self.app_names):
+    def __init__(
+        self,
+        arrival_seconds: np.ndarray,
+        app_names: Optional[Sequence[str]] = None,
+        duration_seconds: Optional[float] = None,
+        *,
+        app_ids: Optional[np.ndarray] = None,
+        app_catalog: Sequence[str] = (),
+    ) -> None:
+        if duration_seconds is None:
+            raise ConfigurationError("a trace needs its duration_seconds")
+        if (app_names is None) == (app_ids is None):
+            raise ConfigurationError(
+                "give a trace either app_names or app_ids + app_catalog"
+            )
+        if app_names is not None:
+            app_names = tuple(app_names)
+            index = {
+                name: k for k, name in enumerate(dict.fromkeys(app_names))
+            }
+            app_ids = np.fromiter(
+                (index[name] for name in app_names),
+                dtype=np.intp,
+                count=len(app_names),
+            )
+            app_catalog = tuple(index)
+            # Name-built traces keep their names: no re-derivation.
+            self.__dict__["app_names"] = app_names
+        app_ids, catalog = _columnar(app_ids, app_catalog)
+        if len(arrival_seconds) != len(app_ids):
             raise ConfigurationError("arrivals and app assignments differ in length")
         # NaN durations slip through ordinary `<= 0` comparisons and
         # then poison every downstream tick grid; reject them here with
         # the same knob-validation discipline as faults.py / rpc.py.
-        if not math.isfinite(self.duration_seconds) or self.duration_seconds < 0:
+        if not math.isfinite(duration_seconds) or duration_seconds < 0:
             raise ConfigurationError(
-                f"invalid trace duration: {self.duration_seconds}"
+                f"invalid trace duration: {duration_seconds}"
             )
+        object.__setattr__(self, "arrival_seconds", arrival_seconds)
+        object.__setattr__(self, "app_ids", app_ids)
+        object.__setattr__(self, "app_catalog", catalog)
+        object.__setattr__(self, "duration_seconds", duration_seconds)
+
+    @cached_property
+    def app_names(self) -> Tuple[str, ...]:
+        """Per-request app names (derived from the ids on first use)."""
+        catalog = np.asarray(self.app_catalog, dtype=object)
+        return tuple(catalog[self.app_ids].tolist())
+
+    def __getstate__(self) -> dict:
+        # Ship the columns only; a receiver re-derives names on demand.
+        state = dict(self.__dict__)
+        state.pop("app_names", None)
+        return state
 
     def __len__(self) -> int:
         return len(self.arrival_seconds)
@@ -78,30 +189,16 @@ class RequestTrace:
 
     # ------------------------------------------------- streaming protocol
     @property
-    def app_catalog(self) -> Tuple[str, ...]:
-        """Unique app names in first-appearance order (the id space of
-        :meth:`chunks`) — the same catalog order every vectorized engine
-        derives via ``dict.fromkeys``."""
-        return tuple(dict.fromkeys(self.app_names))
-
-    @property
     def total_requests(self) -> int:
         return len(self.arrival_seconds)
 
     def chunks(self, chunk_requests: int) -> Iterator[TraceChunk]:
-        """Yield the trace as bounded :class:`TraceChunk` slices."""
-        catalog = self.app_catalog
-        name_to_id = {name: i for i, name in enumerate(catalog)}
+        """Yield the trace as bounded :class:`TraceChunk` slices (views
+        of the columns; ids index :attr:`app_catalog`)."""
         arrivals = np.asarray(self.arrival_seconds, dtype=np.float64)
-        n = len(arrivals)
-        for start in range(0, n, chunk_requests):
-            stop = min(n, start + chunk_requests)
-            ids = np.fromiter(
-                (name_to_id[name] for name in self.app_names[start:stop]),
-                dtype=np.intp,
-                count=stop - start,
-            )
-            yield TraceChunk(arrivals[start:stop], ids)
+        for start in range(0, len(arrivals), chunk_requests):
+            stop = start + chunk_requests
+            yield TraceChunk(arrivals[start:stop], self.app_ids[start:stop])
 
 
 class TraceGenerator:
@@ -148,13 +245,11 @@ class TraceGenerator:
             all_arrivals = np.sort(np.concatenate(arrivals))
         else:
             all_arrivals = np.array([])
-        apps = tuple(
-            self._app_names[i]
-            for i in rng.integers(0, len(self._app_names), size=len(all_arrivals))
-        )
+        app_ids = rng.integers(0, len(self._app_names), size=len(all_arrivals))
         return RequestTrace(
             arrival_seconds=all_arrivals,
-            app_names=apps,
+            app_ids=app_ids,
+            app_catalog=self._app_names,
             duration_seconds=self.duration_seconds,
         )
 
@@ -204,8 +299,8 @@ class StreamedTrace:
         self._counts = counts
         self.total_requests = sum(counts)
         self.duration_seconds = generator.duration_seconds
-        # Dedup the declared names exactly like the engines dedup trace
-        # app names; remap ids so duplicates share one catalog entry.
+        # Dedup the declared names by name, as RequestTrace does; remap
+        # ids so duplicates share one catalog entry.
         names = generator._app_names
         self.app_catalog = tuple(dict.fromkeys(names))
         if len(self.app_catalog) != len(names):

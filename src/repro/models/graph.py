@@ -115,7 +115,18 @@ class Graph:
         return self._ops[-1].infer_output()
 
     def stats(self) -> GraphStats:
-        """Compute aggregate statistics over the whole graph."""
+        """Aggregate statistics over the whole graph.
+
+        Graphs are immutable, so the statistics are computed once and
+        memoized like :meth:`fingerprint`.
+        """
+        cached = getattr(self, "_stats", None)
+        if cached is None:
+            cached = self._compute_stats()
+            self._stats = cached
+        return cached
+
+    def _compute_stats(self) -> GraphStats:
         total_macs = 0
         total_flops = 0
         total_vec = 0

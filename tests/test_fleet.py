@@ -285,7 +285,8 @@ class TestFleetRunner:
         with pytest.raises(ConfigurationError):
             FleetRunner(context).run(topology, trace, workers=0)
 
-    def test_empty_shard_rack_reports_nan(self, context, trace):
+    @pytest.mark.parametrize("engine", ["auto", "streaming"])
+    def test_empty_shard_rack_reports_nan(self, context, trace, engine):
         # hash affinity over few racks can leave a rack with no apps;
         # force the situation with a single-app trace on two racks.
         single = RequestTrace(
@@ -295,7 +296,9 @@ class TestFleetRunner:
         )
         topology = small_topology(BASELINE_NAME, racks=2)
         result = FleetRunner(
-            context, balancer=GlobalLoadBalancer("hash_affinity")
+            context,
+            balancer=GlobalLoadBalancer("hash_affinity"),
+            engine=engine,
         ).run(topology, single, workers=1)
         sizes = [rack.requests for rack in result.racks]
         assert sorted(sizes) == [0, 100]
