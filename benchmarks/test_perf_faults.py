@@ -7,8 +7,8 @@ Two guards on the full Fig. 13 trace:
    (>= 5x) speedup over the event oracle.  The availability layer costs
    nothing until a failure process is enabled.
 2. **Chaos speedup** — under a mild fault schedule plus retry policy,
-   the vectorized chaos engine must still beat the event-driven chaos
-   oracle, bit-identically.  ``scripts/bench_faults.py`` records the
+   the vectorized chaos engine must still beat its event-driven oracle
+   (the control oracle with an inert plane), bit-identically.  ``scripts/bench_faults.py`` records the
    real figure in ``BENCH_faults.json``.
 """
 

@@ -27,7 +27,6 @@ per-script parsing.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -35,6 +34,10 @@ import time
 import tracemalloc
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
+
+# The check-hash projection lives beside the fleet's per-rack hash, so
+# BENCH records, the fleet runner and the tests all hash the same bytes.
+from repro.cluster.fleet_engine import digest, series_digest
 
 
 def usable_cpus() -> int:
@@ -108,59 +111,6 @@ def rss_bytes() -> Optional[int]:
     if platform.system() == "Darwin":  # pragma: no cover - macOS units
         return int(peak)
     return int(peak) * 1024
-
-
-def digest(*parts: Any) -> str:
-    """A stable content hash over strings / bytes / reprs.
-
-    Callers pass deterministic projections of their results (dataclass
-    reprs, ``ndarray.tobytes()``); the digest lets two BENCH records be
-    compared for *what* they computed, not just how fast.
-    """
-    hasher = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, bytes):
-            hasher.update(part)
-        else:
-            hasher.update(repr(part).encode())
-        hasher.update(b"\x00")
-    return f"sha256:{hasher.hexdigest()}"
-
-
-def series_digest(series_by_platform) -> str:
-    """The shared check-hash payload for rack-series benchmarks.
-
-    One definition for every ``BENCH_*.json`` that hashes
-    :class:`~repro.cluster.simulation.SimulationSeries` results
-    (``bench_rack``, ``bench_faults``, ``bench_autoscale``): the full
-    series, the drop *times and reasons*, the availability counters, and
-    the per-reason drop breakdown (including ``shed``) — so a future
-    engine cannot silently reshuffle loss modes while matching the
-    aggregate counts.  ``tests/test_fault_equivalence.py`` and
-    ``tests/test_control_equivalence.py`` restate this projection (tests
-    do not import from ``scripts/``); keep them in lockstep.
-    """
-    parts = []
-    for name in sorted(series_by_platform):
-        series = series_by_platform[name]
-        parts.extend(
-            [
-                name,
-                series.completed_latency_seconds.tobytes(),
-                series.completed_times.tobytes(),
-                series.queue_depth.tobytes(),
-                series.busy_instances.tobytes(),
-                series.dropped_times.tobytes(),
-                series.dropped_reasons.tobytes(),
-                series.dropped_requests,
-                series.total_requests,
-                series.retries,
-                series.timeouts,
-                series.crash_kills,
-                tuple(sorted(series.drop_breakdown().items())),
-            ]
-        )
-    return digest(*parts)
 
 
 def engine_record(

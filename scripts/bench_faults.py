@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Benchmark the chaos engines: event-driven vs vectorized under faults.
+"""Benchmark the chaos kernel against its oracle under faults.
 
 Runs the paper's full 20-minute bursty trace (both platforms, 200
 instances) with a mild fault schedule (instance churn + slowdown
 windows) and a retry policy (queue timeouts, bounded retries) through
 
-- the **event-driven chaos oracle** — one callback per arrival, retry
-  re-arrival, timeout timer, capacity event, and completion, and
+- the **event-driven oracle** — the control oracle with an inert
+  plane: one handler call per arrival, retry re-arrival, timeout timer,
+  capacity event, and completion, and
 - the **vectorized chaos engine** — pass-A chunking with capacity
   epochs plus the keyed dispatch kernel —
 

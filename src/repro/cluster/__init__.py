@@ -18,9 +18,7 @@ Fault injection rides on top: a seeded
 correlated node outages, slowdown spikes) and a
 :class:`~repro.cluster.faults.RetryPolicy` (queue timeouts, bounded
 retries with backoff + jitter, hedged dispatch) perturb any simulation
-deterministically; the chaos engines in
-:mod:`repro.cluster.chaos_engine` are bit-identical to each other and
-degrade to the fault-free engines when the schedule is inert.
+deterministically, and degrade to the fault-free engines when inert.
 
 A closed-loop control plane (:mod:`repro.cluster.control`) sits above
 both: a deterministic controller observes per-tick telemetry and
@@ -30,7 +28,18 @@ fault timelines as ``min(autoscaled, surviving)``) and overload
 protection (token-bucket admission, CoDel-style queue-delay shedding,
 brownout by criticality, per-app circuit breakers) — again through two
 bit-identical engines (:mod:`repro.cluster.control_engine`), with every
-shed recorded under the terminal ``shed`` drop reason.
+shed recorded under the terminal ``shed`` drop reason.  Control
+subsumes chaos: a fault/retry run is a control run with an inert
+``ControlPlane()``, so the control oracle also checks the materialized
+chaos kernel (:mod:`repro.cluster.chaos_engine`), and
+``engine="event"``, unsorted traces and ``engine="streaming"`` send
+fault/retry runs to the control family.
+
+Rack engines, in all: two event oracles (the fault-free one inside
+:class:`~repro.cluster.simulation.RackSimulation` and
+:func:`~repro.cluster.control_engine.run_control_event`), four
+materialized kernels (FCFS, keyed, chaos, control) and three streaming
+ports (:mod:`repro.cluster.streaming`: FCFS, keyed, control).
 
 The fleet layer (:mod:`repro.cluster.fleet`) scales all of the above to
 a multi-rack datacenter: a :class:`~repro.cluster.fleet.FleetTopology`

@@ -1,6 +1,6 @@
-"""Fault-injection engines for the rack simulator (oracle + vectorized).
+"""Materialized fault-injection engine for the rack simulator.
 
-Both engines simulate the same perturbed dynamics: a
+It simulates perturbed dynamics: a
 :class:`~repro.cluster.faults.FaultTimeline` steps fleet capacity up and
 down (crashes kill the in-flight requests with the latest completions
 and shrink capacity; recoveries dispatch the backlog), slowdown windows
@@ -14,29 +14,31 @@ simulator's ``arrival < tick < completion`` rule:
     fault < timeout < arrival (trace before injected) < tick < completion
 
 with completions tie-broken by start order, exactly as the event queue's
-insertion order resolves them in the fault-free oracle.  Shared
-semantics, implemented twice:
+insertion order resolves them in the fault-free oracle.
 
-- :func:`run_chaos_event` — the reference oracle: one explicit
-  ``(time, rank, counter)`` heap, a
-  :class:`~repro.cluster.policy_keys.KeyedQueue` with cancellation for
-  timed-out entries, one handler per event kind.
-- :func:`run_chaos_vectorized` — a next-event loop over five primitive
-  event sources (trace arrivals, injected re-arrivals, timeout timers,
-  fault events, completions).  Fault events partition the timeline into
-  capacity epochs; within an epoch, contention-free stretches run
-  through the same adaptively chunked pass A as the fault-free engines
-  (``completion = arrival + service``, ``searchsorted`` occupancy
-  checks, tentative-draw RNG rollback via
-  :class:`~repro.cluster.fast_engine._ServicePools`), and congested
-  stretches step serially through the keyed-dispatch kernel.
+:func:`run_chaos_vectorized` is a next-event loop over five primitive
+event sources (trace arrivals, injected re-arrivals, timeout timers,
+fault events, completions).  Fault events partition the timeline into
+capacity epochs; within an epoch, contention-free stretches run through
+the same adaptively chunked pass A as the fault-free engines
+(``completion = arrival + service``, ``searchsorted`` occupancy checks,
+tentative-draw RNG rollback via
+:class:`~repro.cluster.fast_engine._ServicePools`), and congested
+stretches step serially through the keyed-dispatch kernel.
+
+A fault/retry run is a control run whose plane does nothing, so this
+kernel has no oracle of its own: it is checked against the control
+oracle, :func:`~repro.cluster.control_engine.run_control_event`, run
+with an inert ``ControlPlane()`` — which is also where ``engine="event"``
+and unsorted traces send such runs, while ``engine="streaming"`` sends
+them to :func:`~repro.cluster.streaming.run_streaming_control`.
 
 Failure handling is crash-only and loss-free in accounting terms: every
 trace request ends as exactly one completion or one reasoned drop
 (``queue_full`` / ``timeout`` / ``crashed``), which
 ``tests/test_fault_property.py`` asserts for every engine and seed.
-``tests/test_fault_equivalence.py`` proves the two implementations
-bit-identical — series, per-reason drops, chaos counters, RNG end
+``tests/test_fault_equivalence.py`` proves this kernel bit-identical to
+the control oracle — series, per-reason drops, chaos counters, RNG end
 state — and that a zero-fault timeline reproduces the fault-free
 engines exactly.
 """
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, List, Set, Tuple
 
 import numpy as np
 
@@ -62,8 +64,7 @@ from repro.cluster.faults import (
     FaultTimeline,
     RetryPolicy,
 )
-from repro.cluster.policy_keys import KeyedQueue
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.schedulers import KeyedPolicy
@@ -71,224 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.trace import RequestTrace
 
 _INF = float("inf")
-
-# Same-timestamp event ranks (see module docstring).
-_RANK_FAULT = 0
-_RANK_TIMER = 1
-_RANK_ARRIVAL = 2
-_RANK_TICK = 3
-_RANK_COMPLETION = 4
-
-
-def run_chaos_event(
-    sim: "RackSimulation",
-    policy: "KeyedPolicy",
-    trace: "RequestTrace",
-    sample_interval_seconds: float,
-    timeline: FaultTimeline,
-    retry: RetryPolicy,
-) -> "SimulationSeries":
-    """The fault-injection reference oracle (explicit ranked event heap).
-
-    Requests are ``(qseq, orig_seq, attempt, app_name, orig_arrival)``
-    tuples: ``qseq`` is the admission sequence the policy key tie-breaks
-    on (trace index for first attempts, ``n + retry#`` for re-arrivals,
-    so retries never jump ahead of equal-key originals), ``orig_seq``
-    indexes the trace request (and the jitter hash), and latency is
-    always measured from ``orig_arrival``.
-    """
-    from repro.cluster.simulation import SimulationSeries
-
-    n = len(trace)
-    if n and float(trace.arrival_seconds[0]) < 0:
-        raise SimulationError(
-            f"event scheduled at negative time {float(trace.arrival_seconds[0])}"
-        )
-    cap = timeline.initial_capacity
-    qmax = sim._queue_depth
-    timeout = retry.timeout_seconds
-    hedge = retry.hedge_after_seconds
-    max_retries = retry.max_retries
-    multiplier_at = timeline.multiplier_at
-    observe_app = policy.observe_app
-    key_for = policy.key.key_for
-    service_time = sim._service_time
-
-    # (time, rank, counter, kind, payload); counter is global push order,
-    # so equal-(time, rank) events fire in push order — trace arrivals
-    # before injected re-arrivals, completions in start order.
-    events: List[tuple] = []
-    counter = count()
-
-    queue = KeyedQueue()
-    queued: Set[int] = set()  # qseqs live in the queue
-    handles: Dict[int, object] = {}
-    in_flight: Dict[int, tuple] = {}  # start_seq -> (completion, request)
-    killed: Set[int] = set()
-    busy = 0
-    start_counter = 0
-    retry_counter = 0
-
-    dropped = 0
-    drop_times: List[float] = []
-    drop_reasons: List[int] = []
-    latencies: List[float] = []
-    completion_times: List[float] = []
-    sample_times: List[float] = []
-    queue_series: List[int] = []
-    busy_series: List[int] = []
-    retries = timeouts = crash_kills = 0
-    hedges_launched = hedge_wins = 0
-
-    def start_service(request: tuple, now: float) -> None:
-        nonlocal busy, start_counter, hedges_launched, hedge_wins
-        app_name = request[3]
-        sample = service_time(app_name)
-        mult = multiplier_at(now)
-        effective = mult * sample
-        if hedge is not None:
-            backup = service_time(app_name)
-            alternative = hedge + mult * backup
-            if effective > hedge:
-                hedges_launched += 1
-            if alternative < effective:
-                hedge_wins += 1
-                effective = alternative
-        done = now + effective
-        seq = start_counter
-        start_counter += 1
-        in_flight[seq] = (done, request)
-        busy += 1
-        heappush(
-            events, (done, _RANK_COMPLETION, next(counter), _on_completion, seq)
-        )
-
-    def fail(request: tuple, reason: int, now: float) -> None:
-        nonlocal dropped, retries, retry_counter
-        if request[2] < max_retries:
-            retries += 1
-            delay = retry.backoff_seconds(request[1], request[2])
-            reattempt = (
-                n + retry_counter,
-                request[1],
-                request[2] + 1,
-                request[3],
-                request[4],
-            )
-            retry_counter += 1
-            heappush(
-                events,
-                (now + delay, _RANK_ARRIVAL, next(counter), _on_arrival, reattempt),
-            )
-        else:
-            dropped += 1
-            drop_times.append(now)
-            drop_reasons.append(reason)
-
-    def dispatch(now: float) -> None:
-        request = queue.pop()
-        queued.discard(request[0])
-        start_service(request, now)
-
-    def _on_arrival(request: tuple, now: float) -> None:
-        if busy < cap:
-            observe_app(request[3])
-            start_service(request, now)
-        elif len(queue) < qmax:
-            observe_app(request[3])
-            qseq = request[0]
-            handles[qseq] = queue.push((*key_for(request[3]), qseq), request)
-            queued.add(qseq)
-            if timeout is not None:
-                heappush(
-                    events,
-                    (now + timeout, _RANK_TIMER, next(counter), _on_timer, request),
-                )
-        else:
-            fail(request, REASON_QUEUE_FULL, now)
-
-    def _on_timer(request: tuple, now: float) -> None:
-        nonlocal timeouts
-        qseq = request[0]
-        if qseq not in queued:
-            return  # already served (or failed); stale timer is a no-op
-        queue.cancel(handles.pop(qseq))
-        queued.discard(qseq)
-        timeouts += 1
-        fail(request, REASON_TIMEOUT, now)
-
-    def _on_fault(new_cap: int, now: float) -> None:
-        nonlocal cap, busy, crash_kills
-        if new_cap < busy:
-            # Kill the in-flight requests that would finish last,
-            # largest (completion, start order) first — a deterministic
-            # choice both engines make identically.
-            victims = sorted(
-                (done, seq) for seq, (done, _) in in_flight.items()
-            )[new_cap - busy:]
-            for _, seq in reversed(victims):
-                _, request = in_flight.pop(seq)
-                killed.add(seq)
-                busy -= 1
-                crash_kills += 1
-                fail(request, REASON_CRASHED, now)
-        cap = new_cap
-        while busy < cap and len(queue):
-            dispatch(now)
-
-    def _on_completion(seq: int, now: float) -> None:
-        nonlocal busy
-        if seq in killed:
-            killed.discard(seq)
-            return
-        _, request = in_flight.pop(seq)
-        busy -= 1
-        latencies.append(now - request[4])
-        completion_times.append(now)
-        if len(queue) and busy < cap:
-            dispatch(now)
-
-    def _on_sample(_: object, now: float) -> None:
-        sample_times.append(now)
-        queue_series.append(len(queue))
-        busy_series.append(busy)
-
-    for sequence, (arrival, app_name) in enumerate(
-        zip(trace.arrival_seconds, trace.app_names)
-    ):
-        arrival = float(arrival)
-        request = (sequence, sequence, 0, app_name, arrival)
-        heappush(
-            events, (arrival, _RANK_ARRIVAL, next(counter), _on_arrival, request)
-        )
-    for t, capacity in zip(
-        timeline.times.tolist(), timeline.capacities.tolist()
-    ):
-        heappush(events, (t, _RANK_FAULT, next(counter), _on_fault, int(capacity)))
-    ticks = sample_tick_times(trace.duration_seconds, sample_interval_seconds)
-    for tick in ticks.tolist():
-        heappush(events, (tick, _RANK_TICK, next(counter), _on_sample, None))
-
-    while events:
-        when, _, _, handler, payload = heappop(events)
-        handler(payload, when)
-
-    return SimulationSeries(
-        sample_times=ticks,
-        queue_depth=np.array(queue_series),
-        busy_instances=np.array(busy_series),
-        completed_latency_seconds=np.array(latencies),
-        completed_times=np.array(completion_times),
-        dropped_requests=dropped,
-        total_requests=n,
-        dropped_times=np.array(drop_times),
-        dropped_reasons=np.array(drop_reasons, dtype=np.int8),
-        retries=retries,
-        timeouts=timeouts,
-        crash_kills=crash_kills,
-        hedges_launched=hedges_launched,
-        hedge_wins=hedge_wins,
-    )
 
 
 def run_chaos_vectorized(
@@ -308,7 +91,7 @@ def run_chaos_vectorized(
     at once — cut at the first arrival that would queue, at the next
     fault event, and at the next injected re-arrival — with tentative
     service draws rolled back exactly as in the fault-free engines.
-    Bit-identical to :func:`run_chaos_event`.
+    Bit-identical to the control oracle run with an inert plane.
     """
     from repro.cluster.simulation import SimulationSeries
 
@@ -330,9 +113,6 @@ def run_chaos_vectorized(
     app_names = list(trace.app_catalog)
     n_apps = len(app_names)
     app_ids = trace.app_ids.astype(np.intp)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
     pools = _ServicePools(sim, app_names)
     prefixes = [policy.key.key_for(name) for name in app_names]
 
@@ -544,13 +324,6 @@ def run_chaos_vectorized(
                     hi = i + int(
                         np.searchsorted(arrivals[i:hi], t_injected, side="right")
                     )
-                unknown = np.nonzero(~known[app_ids[i:hi]])[0]
-                if unknown.size:
-                    if unknown[0] == 0:
-                        raise SchedulingError(
-                            f"unknown application {app_names[app_ids[i]]!r}"
-                        )
-                    hi = i + int(unknown[0])
                 chunk = slice(i, hi)
                 m = hi - i
                 arr = arrivals[chunk]

@@ -1,8 +1,9 @@
 """Closed-loop control engines for the rack simulator (oracle + fast).
 
-Both engines run the chaos dynamics of :mod:`repro.cluster.chaos_engine`
-*plus* a :class:`~repro.cluster.control.ControlPlane` evaluated at a
-fixed control interval: reactive autoscaling (live capacity becomes
+Both engines run the fault/retry dynamics of
+:mod:`repro.cluster.chaos_engine` *plus* a
+:class:`~repro.cluster.control.ControlPlane` evaluated at a fixed
+control interval: reactive autoscaling (live capacity becomes
 ``min(autoscaled, surviving)``, where ``surviving`` is the fault
 timeline's step function) and overload protection (token-bucket
 admission, CoDel-style queue shedding, brownout by criticality,
@@ -19,9 +20,9 @@ govern):
 Shared semantics, implemented twice:
 
 - :func:`run_control_event` — the reference oracle: one ranked event
-  heap with explicit handlers for control ticks and warmup
-  activations on top of the chaos oracle's handlers.
-- :func:`run_control_vectorized` — the chaos engine's next-event loop
+  heap with one handler per event kind (faults, control ticks, warmup
+  activations, timeouts, arrivals, sample ticks, completions).
+- :func:`run_control_vectorized` — the chaos kernel's next-event loop
   with two more event sources (decision ticks, warmup activations).
   Control ticks are natural chunk boundaries: pass-A chunks are
   additionally cut at the next control event, the arrival gate is
@@ -29,6 +30,13 @@ Shared semantics, implemented twice:
   admitted prefix that actually starts), and the tentative-draw RNG
   rollback covers admitted arrivals only — shed arrivals never touch
   the RNG, in either engine.
+
+Control subsumes chaos: a fault/retry run is a control run whose plane
+does nothing.  An inert ``ControlPlane()`` schedules no decision ticks
+and records no control telemetry, so :func:`run_control_event` with an
+inert plane is also the oracle of the materialized chaos kernel, and
+:class:`~repro.cluster.simulation.RackSimulation` sends every
+fault/retry run on ``engine="event"`` or an unsorted trace there.
 
 The decision logic itself lives in one place —
 :class:`~repro.cluster.control.ControllerState` — and is *shared*, not
@@ -50,6 +58,7 @@ from repro.cluster.fast_engine import (
     _CHUNK_MAX,
     _CHUNK_MIN,
     _ServicePools,
+    admission_ranks,
     sample_tick_times,
 )
 from repro.cluster.faults import (
@@ -61,7 +70,7 @@ from repro.cluster.faults import (
     RetryPolicy,
 )
 from repro.cluster.policy_keys import KeyedQueue
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.schedulers import KeyedPolicy
@@ -94,6 +103,39 @@ def _live_series(
     return values[np.maximum(idx, 0)]
 
 
+def _decision_ticks(trace, plane: ControlPlane) -> List[float]:
+    """Control decision times: none for an inert plane.
+
+    An inert plane decides nothing, so its ticks could only cut pass-A
+    chunks; skipping them keeps a fault/retry run on the control
+    engines exactly the run the chaos kernel makes.
+    """
+    if not plane.active:
+        return []
+    return sample_tick_times(
+        trace.duration_seconds, plane.control_interval_seconds
+    ).tolist()
+
+
+def _control_telemetry(
+    state: ControllerState, ticks: np.ndarray, completed_app_ids: np.ndarray
+) -> Dict[str, object]:
+    """The control-plane fields of a run's series: empty when inert.
+
+    An inert plane records no control telemetry, so a fault/retry run
+    reports the same series whichever engine family served it.
+    """
+    if not state.plane.active:
+        return {}
+    return dict(
+        live_instances=_live_series(state, ticks),
+        completed_app_ids=completed_app_ids,
+        app_catalog=tuple(state.app_names),
+        scale_ups=state.scale_ups,
+        scale_downs=state.scale_downs,
+    )
+
+
 def run_control_event(
     sim: "RackSimulation",
     policy: "KeyedPolicy",
@@ -103,20 +145,31 @@ def run_control_event(
     retry: RetryPolicy,
     plane: ControlPlane,
 ) -> "SimulationSeries":
-    """The closed-loop reference oracle (explicit ranked event heap).
+    """The rack simulator's fault-aware reference oracle (explicit
+    ranked event heap).
 
-    Requests are the chaos oracle's ``(qseq, orig_seq, attempt,
-    app_name, orig_arrival)`` tuples.  Capacity is ``min(live,
-    surviving)``: fault events move ``surviving`` (and kill in-flight
-    work down to it — crashes kill), control events move ``live``
-    (scale-downs drain gracefully, killing nothing).
+    Requests are ``(qseq, orig_seq, attempt, app_name, orig_arrival)``
+    tuples: ``qseq`` is the admission sequence the policy key
+    tie-breaks on (the request's rank in (arrival, trace index) order
+    for first attempts, ``n + retry#`` for re-arrivals, so retries never
+    jump ahead of equal-key originals), ``orig_seq`` indexes the trace
+    request (and the retry jitter hash), and latency is always measured
+    from ``orig_arrival``.  Capacity is ``min(live, surviving)``: fault
+    events move ``surviving`` (and kill in-flight work down to it —
+    crashes kill), control events move ``live`` (scale-downs drain
+    gracefully, killing nothing).
+
+    With an inert ``plane`` this is the oracle of fault/retry runs: no
+    decision ticks fire and no control telemetry is recorded, which is
+    exactly the result the chaos kernel must reproduce.
     """
     from repro.cluster.simulation import SimulationSeries
 
-    n = len(trace)
-    if n and float(trace.arrival_seconds[0]) < 0:
+    arrivals = np.asarray(trace.arrival_seconds, dtype=np.float64)
+    n = len(arrivals)
+    if n and float(arrivals[0]) < 0:
         raise SimulationError(
-            f"event scheduled at negative time {float(trace.arrival_seconds[0])}"
+            f"event scheduled at negative time {float(arrivals[0])}"
         )
     qmax = sim._queue_depth
     timeout = retry.timeout_seconds
@@ -130,6 +183,7 @@ def run_control_event(
     app_names = list(trace.app_catalog)
     name_to_id = {name: i for i, name in enumerate(app_names)}
     state = ControllerState(plane, sim._max_instances, app_names)
+    controlled = plane.active
     windows = state.windows_active
     surviving = timeline.initial_capacity
     cap = min(state.live, surviving)
@@ -153,10 +207,8 @@ def run_control_event(
     latencies: List[float] = []
     completion_times: List[float] = []
     completed_ids: List[int] = []
-    sample_times: List[float] = []
     queue_series: List[int] = []
     busy_series: List[int] = []
-    live_series: List[int] = []
     retries = timeouts = crash_kills = 0
     hedges_launched = hedge_wins = 0
 
@@ -221,8 +273,6 @@ def run_control_event(
 
     def _on_arrival(request: tuple, now: float) -> None:
         app_name = request[3]
-        if app_name not in sim._applications:
-            raise SchedulingError(f"unknown application {app_name!r}")
         if not state.admit(name_to_id[app_name]):
             shed(now)
             return
@@ -317,24 +367,22 @@ def run_control_event(
         latency = now - request[4]
         latencies.append(latency)
         completion_times.append(now)
-        app_id = name_to_id[request[3]]
-        completed_ids.append(app_id)
-        if windows:
-            state.record_completion(app_id, latency)
+        if controlled:
+            app_id = name_to_id[request[3]]
+            completed_ids.append(app_id)
+            if windows:
+                state.record_completion(app_id, latency)
         if len(queue) and busy < cap:
             dispatch(now)
 
     def _on_sample(_: object, now: float) -> None:
-        sample_times.append(now)
         queue_series.append(len(queue))
         busy_series.append(busy)
-        live_series.append(state.live)
 
-    for sequence, (arrival, app_name) in enumerate(
-        zip(trace.arrival_seconds, trace.app_names)
+    for orig_seq, (qseq, arrival, app_name) in enumerate(
+        zip(admission_ranks(arrivals), arrivals.tolist(), trace.app_names)
     ):
-        arrival = float(arrival)
-        request = (sequence, sequence, 0, app_name, arrival)
+        request = (qseq, orig_seq, 0, app_name, arrival)
         heappush(
             events, (arrival, _RANK_ARRIVAL, next(counter), _on_arrival, request)
         )
@@ -345,9 +393,7 @@ def run_control_event(
     # Decision ticks are pushed at setup, so at an equal timestamp they
     # fire before any runtime-scheduled warmup activation (push order
     # breaks the rank tie) — the vectorized engine encodes the same rule.
-    for tick in sample_tick_times(
-        trace.duration_seconds, plane.control_interval_seconds
-    ).tolist():
+    for tick in _decision_ticks(trace, plane):
         heappush(
             events,
             (tick, _RANK_CONTROL, next(counter), _on_control, ("tick", None)),
@@ -375,11 +421,9 @@ def run_control_event(
         crash_kills=crash_kills,
         hedges_launched=hedges_launched,
         hedge_wins=hedge_wins,
-        live_instances=np.array(live_series, dtype=np.int64),
-        completed_app_ids=np.array(completed_ids, dtype=np.int64),
-        app_catalog=tuple(app_names),
-        scale_ups=state.scale_ups,
-        scale_downs=state.scale_downs,
+        **_control_telemetry(
+            state, ticks, np.array(completed_ids, dtype=np.int64)
+        ),
     )
 
 
@@ -420,9 +464,6 @@ def run_control_vectorized(
     app_names = list(trace.app_catalog)
     n_apps = len(app_names)
     app_ids = trace.app_ids.astype(np.intp)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
     pools = _ServicePools(sim, app_names)
     prefixes = [policy.key.key_for(name) for name in app_names]
 
@@ -437,9 +478,7 @@ def run_control_vectorized(
     n_faults = len(fault_times)
     has_slowdowns = len(timeline.slow_starts) > 0
 
-    ctrl_times = sample_tick_times(
-        trace.duration_seconds, plane.control_interval_seconds
-    ).tolist()
+    ctrl_times = _decision_ticks(trace, plane)
     n_ctrl = len(ctrl_times)
     jc = 0
     activations: List[Tuple[float, int, int]] = []  # (time, order, target)
@@ -548,10 +587,6 @@ def run_control_vectorized(
 
     def admit(request: tuple, now: float) -> None:
         qseq, app_id, orig_seq, attempt, orig_arrival = request
-        if not known[app_id]:
-            raise SchedulingError(
-                f"unknown application {app_names[app_id]!r}"
-            )
         if not state.admit(app_id):
             shed_drop(now)
             return
@@ -705,13 +740,6 @@ def run_control_vectorized(
                     hi = i + int(
                         np.searchsorted(arrivals[i:hi], t_injected, side="right")
                     )
-                unknown = np.nonzero(~known[app_ids[i:hi]])[0]
-                if unknown.size:
-                    if unknown[0] == 0:
-                        raise SchedulingError(
-                            f"unknown application {app_names[app_ids[i]]!r}"
-                        )
-                    hi = i + int(unknown[0])
                 chunk = slice(i, hi)
                 m = hi - i
                 arr = arrivals[chunk]
@@ -900,9 +928,5 @@ def run_control_vectorized(
         crash_kills=crash_kills,
         hedges_launched=hedges_launched,
         hedge_wins=hedge_wins,
-        live_instances=_live_series(state, ticks),
-        completed_app_ids=completed_ids,
-        app_catalog=tuple(app_names),
-        scale_ups=state.scale_ups,
-        scale_downs=state.scale_downs,
+        **_control_telemetry(state, ticks, completed_ids),
     )

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SchedulingError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.simulation import RackSimulation, SimulationSeries
@@ -82,6 +82,19 @@ def sample_tick_times(
     while (count + 1) * interval_seconds <= horizon_seconds:
         count += 1
     return np.arange(1, count + 1, dtype=np.float64) * interval_seconds
+
+
+def admission_ranks(arrivals: np.ndarray) -> List[int]:
+    """Each request's rank in (arrival time, trace index) order.
+
+    The event oracles admit requests in that order, so the rank is the
+    admission sequence on which keyed policies break ties; on a
+    time-ordered trace it is the trace index itself.
+    """
+    order = np.argsort(np.asarray(arrivals, dtype=np.float64), kind="stable")
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order))
+    return ranks.tolist()
 
 
 class _ServicePools:
@@ -364,9 +377,6 @@ def run_vectorized(
     app_names = list(trace.app_catalog)
     n_apps = len(app_names)
     app_ids = trace.app_ids.astype(np.intp)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
     pools = _ServicePools(sim, app_names)
 
     start_times = np.empty(n)
@@ -407,15 +417,6 @@ def run_vectorized(
 
         # ---- Chunked passes -----------------------------------------
         hi = min(n, i + chunk_size)
-        unknown = np.nonzero(~known[app_ids[i:hi]])[0]
-        if unknown.size:
-            if unknown[0] == 0:
-                # The queue has room, so the oracle would admit this
-                # request, draw its service time, and fail.
-                raise SchedulingError(
-                    f"unknown application {app_names[app_ids[i]]!r}"
-                )
-            hi = i + int(unknown[0])
         chunk = slice(i, hi)
         m = hi - i
         arr = arrivals[chunk]

@@ -14,9 +14,9 @@ hash (``tests/test_fleet.py``).
 
 Workers do not ship latency vectors back.  Each shard returns a compact
 :class:`RackShardResult`: scalar telemetry, a sha256 check hash of the
-full series (computed in-worker, covering the same projection as
-``scripts/bench_common.series_digest`` plus the RNG end state — keep the
-two in lockstep), and a mergeable constant-memory
+full series (computed in-worker by :func:`series_check_hash`, the
+:func:`series_digest` projection plus the RNG end state), and a
+mergeable constant-memory
 :class:`~repro.sim.stats.QuantileSketch` of completed latencies.  Fleet
 p50/p95/p99 come from merging those O(1)-size accumulators; pass
 ``keep_latencies=True`` (test/cross-check scale only) to also keep the
@@ -50,8 +50,13 @@ SKETCH_HI_SECONDS = 1e5
 SKETCH_BINS_PER_DECADE = 64
 
 
-def _digest(*parts) -> str:
-    """sha256 over deterministic projections (bytes or reprs)."""
+def digest(*parts) -> str:
+    """A stable sha256 content hash over bytes or reprs.
+
+    Callers pass deterministic projections of their results (dataclass
+    reprs, ``ndarray.tobytes()``), so two runs or two ``BENCH_*.json``
+    records compare by *what* they computed.
+    """
     hasher = hashlib.sha256()
     for part in parts:
         if isinstance(part, bytes):
@@ -62,15 +67,16 @@ def _digest(*parts) -> str:
     return f"sha256:{hasher.hexdigest()}"
 
 
-def series_check_hash(series: SimulationSeries, *extra) -> str:
-    """Content hash of one rack's full measurement series.
+def _series_parts(series: SimulationSeries) -> list:
+    """The hashed projection of one series.
 
-    Covers the same projection as ``scripts/bench_common.series_digest``
-    (series, drop times/reasons, availability counters, per-reason
-    breakdown) plus the control telemetry and any ``extra`` parts the
-    caller appends (the fleet runner appends the rack RNG end state).
+    The full series, the drop *times and reasons*, the availability
+    counters and the per-reason drop breakdown (including ``shed``), so
+    an engine cannot silently reshuffle loss modes while matching the
+    aggregate counts.  The one definition behind :func:`series_digest`
+    and :func:`series_check_hash`.
     """
-    return _digest(
+    return [
         series.completed_latency_seconds.tobytes(),
         series.completed_times.tobytes(),
         series.queue_depth.tobytes(),
@@ -83,6 +89,32 @@ def series_check_hash(series: SimulationSeries, *extra) -> str:
         series.timeouts,
         series.crash_kills,
         tuple(sorted(series.drop_breakdown().items())),
+    ]
+
+
+def series_digest(series_by_platform: Dict[str, SimulationSeries]) -> str:
+    """The check hash of a multi-platform rack study.
+
+    Hashes each platform's series projection, in platform-name order —
+    the ``check_hash`` the rack-series ``BENCH_*.json`` records
+    (``BENCH_rack``, ``BENCH_faults``, ``BENCH_autoscale``) carry.
+    """
+    parts: list = []
+    for name in sorted(series_by_platform):
+        parts.append(name)
+        parts.extend(_series_parts(series_by_platform[name]))
+    return digest(*parts)
+
+
+def series_check_hash(series: SimulationSeries, *extra) -> str:
+    """Content hash of one rack's full measurement series.
+
+    Covers the :func:`series_digest` projection plus the control
+    telemetry and any ``extra`` parts the caller appends (the fleet
+    runner appends the rack RNG end state).
+    """
+    return digest(
+        *_series_parts(series),
         series.live_instances.tobytes(),
         series.completed_app_ids.tobytes(),
         series.app_catalog,
@@ -103,7 +135,7 @@ def streamed_check_hash(streamed, *extra) -> str:
     identically; note ``_sum`` is excluded for the same chunking-order
     reason :meth:`~repro.sim.stats.QuantileSketch.identical_to` skips it.
     """
-    return _digest(
+    return digest(
         streamed.sample_times.tobytes(),
         streamed.queue_depth.tobytes(),
         streamed.busy_instances.tobytes(),
@@ -277,7 +309,7 @@ class FleetResult:
     @property
     def fleet_hash(self) -> str:
         """One hash over every rack's check hash, in rack order."""
-        return _digest(
+        return digest(
             *(
                 part
                 for rack in self.racks

@@ -78,9 +78,6 @@ def run_keyed(
     app_names = list(trace.app_catalog)
     n_apps = len(app_names)
     app_ids = trace.app_ids.astype(np.intp)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
     pools = _ServicePools(sim, app_names)
     # Static per-app key prefixes; a queued request's full sort key is
     # ``prefix + (sequence, arrival, app_id)`` — the trailing payload
@@ -137,45 +134,37 @@ def run_keyed(
         # ---- Pass A: contention-free chunk (all starts immediate) ---
         if not queue and busy < c:
             hi = min(n, i + chunk_size)
-            unknown = np.nonzero(~known[app_ids[i:hi]])[0]
-            if unknown.size:
-                # Cut before the first unknown app; the serial step
-                # below reproduces the oracle's failure exactly.
-                hi = i + int(unknown[0])
-            if hi > i:
-                chunk = slice(i, hi)
-                m = hi - i
-                arr = arrivals[chunk]
-                values, events, snapshot = pools.peek(app_ids[chunk])
-                dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
-                comp_opt = arr + values
-                comp_sorted = np.sort(comp_opt)
-                dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
-                n_before = busy + np.arange(m) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= c)[0]
-                cut = int(crossing[0]) if crossing.size else m
-                pools.commit(app_ids[chunk], cut, events, snapshot, n_apps)
-                # cut >= 1 here: with busy < c the first arrival always
-                # fits, so the chunk never commits empty.  Observation
-                # is coalesced to one call per app per chunk (the
-                # documented set-like contract) — a per-request Python
-                # call would forfeit the batched pass's throughput.
-                for committed_id in np.unique(app_ids[i : i + cut]):
-                    observe_app(app_names[committed_id])
-                started = arr[:cut].tolist()
-                immediate_arrivals.extend(started)
-                start_arrivals.extend(started)
-                start_completions.extend(comp_opt[:cut].tolist())
-                pending.add_sorted(
-                    comp_sorted if cut == m else np.sort(comp_opt[:cut])
-                )
-                i += cut
-                chunk_size = (
-                    min(chunk_size * 2, _CHUNK_MAX)
-                    if cut == m
-                    else _CHUNK_MIN
-                )
-                continue
+            chunk = slice(i, hi)
+            m = hi - i
+            arr = arrivals[chunk]
+            values, events, snapshot = pools.peek(app_ids[chunk])
+            dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
+            comp_opt = arr + values
+            comp_sorted = np.sort(comp_opt)
+            dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
+            n_before = busy + np.arange(m) - dep_pend - dep_chunk
+            crossing = np.nonzero(n_before >= c)[0]
+            cut = int(crossing[0]) if crossing.size else m
+            pools.commit(app_ids[chunk], cut, events, snapshot, n_apps)
+            # cut >= 1 here: with busy < c the first arrival always
+            # fits, so the chunk never commits empty.  Observation is
+            # coalesced to one call per app per chunk (the documented
+            # set-like contract) — a per-request Python call would
+            # forfeit the batched pass's throughput.
+            for committed_id in np.unique(app_ids[i : i + cut]):
+                observe_app(app_names[committed_id])
+            started = arr[:cut].tolist()
+            immediate_arrivals.extend(started)
+            start_arrivals.extend(started)
+            start_completions.extend(comp_opt[:cut].tolist())
+            pending.add_sorted(
+                comp_sorted if cut == m else np.sort(comp_opt[:cut])
+            )
+            i += cut
+            chunk_size = (
+                min(chunk_size * 2, _CHUNK_MAX) if cut == m else _CHUNK_MIN
+            )
+            continue
 
         # ---- Keyed dispatch kernel: one arrival, serially -----------
         app_id = app_ids_list[i]
@@ -197,7 +186,7 @@ def run_keyed(
         i += 1
 
     # ---- Drain: serve the backlog in pure key order -----------------
-    if queue and pending and all(known[entry[-1]] for entry in queue):
+    if queue:
         # Once arrivals stop the dispatch order is fully determined:
         # every completion hands its server to the min-(key, sequence)
         # entry and nothing new enqueues, so the backlog is served in
@@ -221,11 +210,6 @@ def run_keyed(
             start_arrivals.append(entry[-2])
             start_completions.append(completion)
         queue.clear()
-    else:
-        # Serial fallback: an unknown app in the backlog must fail at
-        # its exact dispatch (same SchedulingError, same RNG state).
-        while queue and pending:
-            dispatch(pending.pop())
 
     # ---- Series reconstruction --------------------------------------
     start_arr = np.asarray(start_arrivals)

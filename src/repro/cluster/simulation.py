@@ -23,17 +23,31 @@ engine in :mod:`repro.cluster.policy_engine`, which batches
 contention-free stretches and dispatches congested ones through a
 primitive-heap kernel.  Both are bit-identical to the event-driven
 oracle, which remains the fallback for unsorted traces.
+
+Runs with active faults, retries or a control plane take one
+fault-aware route: the control family, with an inert ``ControlPlane()``
+when only faults or retries are active.  ``engine="event"`` and unsorted
+traces run :func:`~repro.cluster.control_engine.run_control_event`,
+``engine="streaming"`` the control streaming port, and vectorized runs
+the control kernel (active plane) or the chaos kernel (inert plane).
+
+Every engine rejects a trace naming an application the simulation does
+not know, before any service draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.control import ControlPlane
-from repro.cluster.fast_engine import run_vectorized, sample_tick_times
+from repro.cluster.fast_engine import (
+    admission_ranks,
+    run_vectorized,
+    sample_tick_times,
+)
 from repro.cluster.faults import (
     DROP_REASONS,
     FaultSchedule,
@@ -155,8 +169,8 @@ class SimulationSeries:
     crash_kills: int = 0
     hedges_launched: int = 0
     hedge_wins: int = 0
-    # Control-plane telemetry (populated only by the control engines;
-    # empty/zero for every other path).  ``live_instances`` is the
+    # Control-plane telemetry, populated only when a control plane is
+    # active (empty/zero otherwise).  ``live_instances`` is the
     # autoscaled live capacity at each sample tick;
     # ``completed_app_ids`` indexes ``app_catalog`` per completion, for
     # per-criticality latency slicing.
@@ -242,9 +256,9 @@ class SimulationSeries:
     def completed_latencies_for_apps(self, app_names) -> np.ndarray:
         """Latencies of completions belonging to the given applications.
 
-        Requires the per-completion app record the control engines emit
-        (:attr:`completed_app_ids` / :attr:`app_catalog`); other engines
-        do not track it, so this returns an empty array for their runs.
+        Requires the per-completion app record (:attr:`completed_app_ids`
+        / :attr:`app_catalog`), populated only when a control plane is
+        active; for other runs this returns an empty array.
         """
         if len(self.completed_app_ids) == 0:
             return np.empty(0)
@@ -548,6 +562,12 @@ class RackSimulation:
                 "streamed trace sources require engine='streaming'; "
                 f"got engine={engine!r} with {type(trace).__name__}"
             )
+        # One rule for every engine: a trace naming an application this
+        # simulation cannot serve is rejected before any service draw,
+        # whether or not the request would have been admitted.
+        for app_name in trace.app_catalog:
+            if app_name not in self._applications:
+                raise SchedulingError(f"unknown application {app_name!r}")
 
         if self._policy_factory is not None:
             queue = self._policy_factory.build()
@@ -568,60 +588,28 @@ class RackSimulation:
                 self, queue, trace, sample_interval_seconds, chunk_requests
             )
 
-        if self._control_active():
-            # The control engines subsume the chaos dynamics (they take
-            # the fault timeline and retry policy too), so an active
-            # control plane routes here regardless of fault config.  An
-            # inert plane must NOT: attaching ``ControlPlane()`` keeps
-            # today's engines and their benchmark hashes bit for bit.
+        dynamics = self._fault_dynamics(queue, trace)
+        if dynamics is not None:
+            from repro.cluster.chaos_engine import run_chaos_vectorized
             from repro.cluster.control_engine import (
                 run_control_event,
                 run_control_vectorized,
             )
 
-            if not isinstance(queue, KeyedPolicy):
-                raise ConfigurationError(
-                    "the control plane requires a keyed policy (one "
-                    "built on repro.cluster.policy_keys.PolicyKey); got "
-                    f"{type(queue).__name__}"
-                )
-            timeline = self._fault_timeline(trace)
-            retry = self._retry if self._retry is not None else RetryPolicy()
+            timeline, retry, plane = dynamics
             if engine != "event" and self._time_ordered(trace):
-                return run_control_vectorized(
-                    self, queue, trace, sample_interval_seconds,
-                    timeline, retry, self._control,
-                )
-            return run_control_event(
-                self, queue, trace, sample_interval_seconds,
-                timeline, retry, self._control,
-            )
-
-        if self._chaos_active():
-            # Fault injection / retry changes the dynamics, so inert
-            # configurations must NOT route here: a no-op schedule plus
-            # a no-op retry policy reproduces today's engines (and their
-            # benchmark hashes) bit for bit by construction.
-            from repro.cluster.chaos_engine import (
-                run_chaos_event,
-                run_chaos_vectorized,
-            )
-
-            if not isinstance(queue, KeyedPolicy):
-                raise ConfigurationError(
-                    "fault injection requires a keyed policy (one built "
-                    "on repro.cluster.policy_keys.PolicyKey); got "
-                    f"{type(queue).__name__}"
-                )
-            timeline = self._fault_timeline(trace)
-            retry = self._retry if self._retry is not None else RetryPolicy()
-            if engine != "event" and self._time_ordered(trace):
+                if plane.active:
+                    return run_control_vectorized(
+                        self, queue, trace, sample_interval_seconds,
+                        timeline, retry, plane,
+                    )
                 return run_chaos_vectorized(
                     self, queue, trace, sample_interval_seconds,
                     timeline, retry,
                 )
-            return run_chaos_event(
-                self, queue, trace, sample_interval_seconds, timeline, retry
+            return run_control_event(
+                self, queue, trace, sample_interval_seconds,
+                timeline, retry, plane,
             )
 
         if engine != "event":
@@ -682,8 +670,10 @@ class RackSimulation:
             busy_series.append(busy)
 
         arrivals = []
-        for sequence, (arrival, app_name) in enumerate(
-            zip(trace.arrival_seconds, trace.app_names)
+        for sequence, arrival, app_name in zip(
+            admission_ranks(trace.arrival_seconds),
+            trace.arrival_seconds,
+            trace.app_names,
         ):
             request = QueuedRequest(
                 arrival=float(arrival), app_name=app_name, sequence=sequence
@@ -723,6 +713,33 @@ class RackSimulation:
     def _control_active(self) -> bool:
         """Whether the closed-loop control plane is engaged."""
         return self._control is not None and self._control.active
+
+    def _fault_dynamics(
+        self, queue, trace
+    ) -> Optional[Tuple[FaultTimeline, RetryPolicy, ControlPlane]]:
+        """Timeline, retry policy and control plane of a fault-aware run.
+
+        ``None`` when faults, retry and control are all inert: such a
+        run stays on the fault-free engines, so attaching no-op
+        configuration objects changes nothing.  Otherwise the run goes
+        to the control family, with an inert ``ControlPlane()`` when
+        only faults or retries are active — control subsumes chaos.
+        """
+        control = self._control_active()
+        if not (control or self._chaos_active()):
+            return None
+        if not isinstance(queue, KeyedPolicy):
+            raise ConfigurationError(
+                "fault injection, retries and the control plane require "
+                "a keyed policy (one built on "
+                "repro.cluster.policy_keys.PolicyKey); got "
+                f"{type(queue).__name__}"
+            )
+        return (
+            self._fault_timeline(trace),
+            self._retry if self._retry is not None else RetryPolicy(),
+            self._control if control else ControlPlane(),
+        )
 
     def _fault_timeline(self, trace: RequestTrace) -> FaultTimeline:
         """Materialize the fault schedule over the trace horizon."""

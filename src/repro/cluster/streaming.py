@@ -15,9 +15,13 @@ and *folded into telemetry* in bounded chunks of ``chunk_requests``:
   (:meth:`~repro.cluster.trace.RequestTrace.chunks`, or the
   generator-backed :class:`~repro.cluster.trace.StreamedTrace`) feeds a
   :class:`_ChunkCursor`; only one chunk is buffered at a time.
-- **Engine side** — each engine here is a port of its materialized twin
-  operating through the cursor: identical heaps, identical pass-A
-  window cuts, identical serial fallbacks, and the same
+- **Engine side** — three ports of materialized twins operate through
+  the cursor: :func:`run_streaming_fcfs`, :func:`run_streaming_keyed`
+  and :func:`run_streaming_control`.  The control port also serves
+  every fault/retry run without a controller, with an inert
+  ``ControlPlane()`` that fires no decision ticks and records no
+  control telemetry — control subsumes chaos.  Each port keeps its
+  twin's heaps, pass-A window cuts, serial fallbacks, and the same
   :class:`~repro.cluster.fast_engine._ServicePools` tentative-draw RNG
   rollback at every cut.  Chunk boundaries only partition the work;
   every per-request decision, every service draw, and the RNG end
@@ -69,7 +73,7 @@ from repro.cluster.faults import (
     RetryPolicy,
 )
 from repro.cluster.schedulers import FCFSPolicy, KeyedPolicy
-from repro.errors import ConfigurationError, SchedulingError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.stats import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -382,10 +386,9 @@ class StreamedSeries:
 
     @property
     def completed_per_app(self) -> Dict[str, int]:
-        """Completion counts by app name (control engines only; the
-        other engines do not track per-completion apps, so this is
-        empty for their runs — keyed by name, so two runs compare
-        equal regardless of catalog order)."""
+        """Completion counts by app name, populated only when a control
+        plane is active (empty for every other run) — keyed by name, so
+        two runs compare equal regardless of catalog order."""
         return {
             name: int(n)
             for name, n in zip(self.app_catalog, self._app_counts)
@@ -488,9 +491,10 @@ class _CompletionFold:
 
     Two modes:
 
-    - ``presorted=True`` (chaos/control): the engine emits at pending-
-      heap pops, which are already in canonical (completion, start
-      order); the buffer just batches them and auto-flushes.
+    - ``presorted=True`` (control, also for fault/retry runs): the
+      engine emits at pending-heap pops, which are already in canonical
+      (completion, start order); the buffer just batches them and
+      auto-flushes.
     - ``presorted=False`` (FCFS/keyed): the engine emits at *admission/
       start* in start order, where completions are not sorted.  The
       engine flushes with a watermark no future completion can undercut
@@ -554,8 +558,8 @@ class _CompletionFold:
         if self._count == 0:
             return
         if self._presorted:
-            # Only the scalar path feeds presorted folds (chaos/control
-            # emit one completion per pending-heap pop).
+            # Only the scalar path feeds presorted folds (the control
+            # port emits one completion per pending-heap pop).
             apps = (
                 np.asarray(self._apps, dtype=np.int64)
                 if self._apps is not None
@@ -709,9 +713,6 @@ def run_streaming_fcfs(
 
     app_names = list(source.app_catalog)
     n_apps = len(app_names)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
     pools = _ServicePools(sim, app_names)
 
     ticks = sample_tick_times(
@@ -775,20 +776,8 @@ def run_streaming_fcfs(
             continue
 
         # ---- Chunked passes -----------------------------------------
-        window_arr, window_ids = cursor.window(chunk_size)
-        hi = len(window_arr)
-        unknown = np.nonzero(~known[window_ids])[0]
-        if unknown.size:
-            if unknown[0] == 0:
-                # The queue has room, so the oracle would admit this
-                # request, draw its service time, and fail.
-                raise SchedulingError(
-                    f"unknown application {app_names[window_ids[0]]!r}"
-                )
-            hi = int(unknown[0])
-        arr = window_arr[:hi]
-        ids = window_ids[:hi]
-        m = hi
+        arr, ids = cursor.window(chunk_size)
+        m = len(arr)
         values, events, snapshot = pools.peek(ids)
         dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
         offsets = np.arange(m)
@@ -902,9 +891,6 @@ def run_streaming_keyed(
 
     app_names = list(source.app_catalog)
     n_apps = len(app_names)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
     pools = _ServicePools(sim, app_names)
     prefixes = [policy.key.key_for(name) for name in app_names]
 
@@ -962,44 +948,33 @@ def run_streaming_keyed(
 
         # ---- Pass A: contention-free chunk (all starts immediate) ---
         if not queue and busy < c:
-            window_arr, window_ids = cursor.window(chunk_size)
-            hi = len(window_arr)
-            unknown = np.nonzero(~known[window_ids])[0]
-            if unknown.size:
-                # Cut before the first unknown app; the serial step
-                # below reproduces the oracle's failure exactly.
-                hi = int(unknown[0])
-            if hi > 0:
-                arr = window_arr[:hi]
-                ids = window_ids[:hi]
-                m = hi
-                values, events, snapshot = pools.peek(ids)
-                dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
-                comp_opt = arr + values
-                comp_sorted = np.sort(comp_opt)
-                dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
-                n_before = busy + np.arange(m) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= c)[0]
-                cut = int(crossing[0]) if crossing.size else m
-                pools.commit(ids, cut, events, snapshot, n_apps)
-                pools.compact()
-                for committed_id in np.unique(ids[:cut]):
-                    observe_app(app_names[committed_id])
-                comps_arr = comp_opt[:cut]
-                arr_c = arr[:cut]
-                if cut < m:
-                    comp_sorted = np.sort(comps_arr)
-                imm_hist.add_batch(arr_c, inclusive=True)
-                comp_hist.add_batch(comp_sorted, inclusive=False)
-                fold.emit_batch(comps_arr, comps_arr - arr_c)
-                pending.add_sorted(comp_sorted)
-                cursor.advance(cut)
-                chunk_size = (
-                    min(chunk_size * 2, _CHUNK_MAX)
-                    if cut == m
-                    else _CHUNK_MIN
-                )
-                continue
+            arr, ids = cursor.window(chunk_size)
+            m = len(arr)
+            values, events, snapshot = pools.peek(ids)
+            dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
+            comp_opt = arr + values
+            comp_sorted = np.sort(comp_opt)
+            dep_chunk = np.searchsorted(comp_sorted, arr, side="left")
+            n_before = busy + np.arange(m) - dep_pend - dep_chunk
+            crossing = np.nonzero(n_before >= c)[0]
+            cut = int(crossing[0]) if crossing.size else m
+            pools.commit(ids, cut, events, snapshot, n_apps)
+            pools.compact()
+            for committed_id in np.unique(ids[:cut]):
+                observe_app(app_names[committed_id])
+            comps_arr = comp_opt[:cut]
+            arr_c = arr[:cut]
+            if cut < m:
+                comp_sorted = np.sort(comps_arr)
+            imm_hist.add_batch(arr_c, inclusive=True)
+            comp_hist.add_batch(comp_sorted, inclusive=False)
+            fold.emit_batch(comps_arr, comps_arr - arr_c)
+            pending.add_sorted(comp_sorted)
+            cursor.advance(cut)
+            chunk_size = (
+                min(chunk_size * 2, _CHUNK_MAX) if cut == m else _CHUNK_MIN
+            )
+            continue
 
         # ---- Keyed dispatch kernel: one arrival, serially -----------
         idx = cursor.index
@@ -1020,7 +995,7 @@ def run_streaming_keyed(
             series.fold_drop(now, REASON_QUEUE_FULL)
 
     # ---- Drain: serve the backlog in pure key order -----------------
-    if queue and pending and all(known[entry[-1]] for entry in queue):
+    if queue:
         backlog = sorted(queue)
         drain_ids = np.fromiter(
             (entry[-1] for entry in backlog),
@@ -1038,400 +1013,12 @@ def run_streaming_keyed(
             comp_hist.add(completion, inclusive=False)
             fold.emit(completion, completion - entry[-2])
         queue.clear()
-    else:
-        # Serial fallback: an unknown app in the backlog must fail at
-        # its exact dispatch (same SchedulingError, same RNG state).
-        while queue and pending:
-            dispatch(pending.pop())
 
     fold.flush(_INF)
     series.busy_instances = (
         imm_hist.series() + qstart_hist.series() - comp_hist.series()
     )
     series.queue_depth = qarr_hist.series() - qstart_hist.series()
-    return series.finalize()
-
-
-def run_streaming_chaos(
-    sim: "RackSimulation",
-    policy: "KeyedPolicy",
-    source,
-    sample_interval_seconds: float,
-    timeline,
-    retry: RetryPolicy,
-    chunk_requests: int,
-) -> StreamedSeries:
-    """Streaming port of
-    :func:`~repro.cluster.chaos_engine.run_chaos_vectorized`.
-
-    The same next-event loop over five sources; per-start logs collapse
-    to a ``flight`` dict holding live starts only, and completions emit
-    to the fold at pending-heap pops — already canonical (completion,
-    start order), so no watermark sort is needed.
-    """
-    cursor = _ChunkCursor(source, chunk_requests)
-    _check_first_arrival(cursor)
-    n = source.total_requests
-    cap = timeline.initial_capacity
-    qmax = sim._queue_depth
-    timeout = retry.timeout_seconds
-    hedge = retry.hedge_after_seconds
-    max_retries = retry.max_retries
-    multiplier_at = timeline.multiplier_at
-    observe_app = policy.observe_app
-    service_time = sim._service_time
-
-    app_names = list(source.app_catalog)
-    n_apps = len(app_names)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
-    pools = _ServicePools(sim, app_names)
-    prefixes = [policy.key.key_for(name) for name in app_names]
-
-    fault_times = timeline.times.tolist()
-    fault_caps = timeline.capacities.tolist()
-    n_faults = len(fault_times)
-    has_slowdowns = len(timeline.slow_starts) > 0
-
-    ticks = sample_tick_times(
-        source.duration_seconds, sample_interval_seconds
-    )
-    series = StreamedSeries(
-        ticks,
-        total_requests=n,
-        engine="streaming",
-        chunk_requests=chunk_requests,
-        app_catalog=tuple(app_names),
-    )
-    spre_hist = _TickHist(ticks)
-    spost_hist = _TickHist(ticks)
-    enq_hist = _TickHist(ticks)
-    deqpre_hist = _TickHist(ticks)
-    deqpost_hist = _TickHist(ticks)
-    kill_hist = _TickHist(ticks)
-    comp_hist = _TickHist(ticks)
-    fold = _CompletionFold(
-        series, max(chunk_requests, _FOLD_MIN), presorted=True
-    )
-
-    # Queue entries: ``prefix + request`` where a request is the tuple
-    # ``(qseq, app_id, orig_seq, attempt, orig_arrival)``.
-    qheap: List[tuple] = []
-    queued: set = set()
-    timers: List[tuple] = []  # (deadline, push order, request)
-    injected: List[tuple] = []  # (time, push order, request)
-    pending: List[Tuple[float, int]] = []  # (completion, start_seq)
-    # Live starts only: seq -> (done, orig_arrival, orig_seq, attempt,
-    # app_id) — the constant-memory replacement for the materialized
-    # engine's per-start logs + alive set.
-    flight: Dict[int, Tuple[float, float, int, int, int]] = {}
-    timer_counter = count()
-    injected_counter = count()
-    busy = 0
-    start_counter = 0
-    retry_counter = 0
-    retries = timeouts = crash_kills = 0
-    hedges_launched = hedge_wins = 0
-
-    def start(
-        app_id: int,
-        now: float,
-        orig_arrival: float,
-        orig_seq: int,
-        attempt: int,
-        pre_tick: bool,
-    ) -> None:
-        nonlocal busy, start_counter, hedges_launched, hedge_wins
-        sample = service_time(app_names[app_id])
-        mult = multiplier_at(now)
-        effective = mult * sample
-        if hedge is not None:
-            backup = service_time(app_names[app_id])
-            alternative = hedge + mult * backup
-            if effective > hedge:
-                hedges_launched += 1
-            if alternative < effective:
-                hedge_wins += 1
-                effective = alternative
-        done = now + effective
-        seq = start_counter
-        start_counter += 1
-        flight[seq] = (done, orig_arrival, orig_seq, attempt, app_id)
-        heappush(pending, (done, seq))
-        busy += 1
-        if pre_tick:
-            spre_hist.add(now, inclusive=True)
-        else:
-            spost_hist.add(now, inclusive=False)
-
-    def fail(
-        app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
-        reason: int, now: float,
-    ) -> None:
-        nonlocal retries, retry_counter
-        if attempt < max_retries:
-            retries += 1
-            delay = retry.backoff_seconds(orig_seq, attempt)
-            reattempt = (
-                n + retry_counter, app_id, orig_seq, attempt + 1,
-                orig_arrival,
-            )
-            retry_counter += 1
-            heappush(
-                injected, (now + delay, next(injected_counter), reattempt)
-            )
-        else:
-            series.fold_drop(now, reason)
-
-    def dispatch(now: float, pre_tick: bool) -> None:
-        while True:
-            entry = heappop(qheap)
-            request = entry[-5:]
-            if request[0] in queued:
-                break
-        queued.discard(request[0])
-        if pre_tick:
-            deqpre_hist.add(now, inclusive=True)
-        else:
-            deqpost_hist.add(now, inclusive=False)
-        start(request[1], now, request[4], request[2], request[3], pre_tick)
-
-    def admit(request: tuple, now: float) -> None:
-        qseq, app_id, orig_seq, attempt, orig_arrival = request
-        if busy < cap:
-            observe_app(app_names[app_id])
-            start(app_id, now, orig_arrival, orig_seq, attempt, True)
-        elif len(queued) < qmax:
-            observe_app(app_names[app_id])
-            heappush(qheap, prefixes[app_id] + request)
-            queued.add(qseq)
-            enq_hist.add(now, inclusive=True)
-            if timeout is not None:
-                heappush(
-                    timers, (now + timeout, next(timer_counter), request)
-                )
-        else:
-            fail(
-                app_id, orig_seq, attempt, orig_arrival,
-                REASON_QUEUE_FULL, now,
-            )
-
-    k = 0
-    chunk_size = _CHUNK_MIN
-    next_compact = chunk_requests
-    while True:
-        if cursor.index >= next_compact:
-            # The serial start/fail kernels draw pool samples without a
-            # peek/commit cycle; compact once per chunk of arrivals.
-            pools.compact()
-            next_compact = cursor.index + chunk_requests
-        # Timers whose entries were served (or already failed) are dead;
-        # with an empty queue every timer is.
-        if not queued:
-            if timers:
-                timers.clear()
-        else:
-            while timers and timers[0][2][0] not in queued:
-                heappop(timers)
-
-        t_fault = fault_times[k] if k < n_faults else _INF
-        t_timer = timers[0][0] if timers else _INF
-        t_trace = cursor.peek_time()
-        t_injected = injected[0][0] if injected else _INF
-        t_next = min(t_fault, t_timer, t_trace, t_injected)
-
-        # Completions strictly before the next ranked event fire first
-        # (equal timestamps fire after: completion has the last rank),
-        # each freeing a server for the current min-key queued request.
-        # Pops arrive in (completion, start order) — the canonical fold
-        # order.
-        while pending and pending[0][0] < t_next:
-            done, seq = heappop(pending)
-            busy -= 1
-            rec = flight.pop(seq)
-            comp_hist.add(done, inclusive=False)
-            fold.emit(done, done - rec[1])
-            if queued and busy < cap:
-                dispatch(done, False)
-        if t_next == _INF:
-            break
-
-        # ---- Fault event: capacity step -----------------------------
-        if t_fault == t_next:
-            new_cap = int(fault_caps[k])
-            k += 1
-            if new_cap < busy:
-                shortfall = busy - new_cap
-                victims = sorted(
-                    (rec[0], s) for s, rec in flight.items()
-                )[-shortfall:]
-                doomed = {seq for _, seq in victims}
-                for _, seq in reversed(victims):
-                    rec = flight.pop(seq)
-                    busy -= 1
-                    crash_kills += 1
-                    kill_hist.add(t_fault, inclusive=True)
-                    fail(
-                        rec[4], rec[2], rec[3], rec[1],
-                        REASON_CRASHED, t_fault,
-                    )
-                pending = [e for e in pending if e[1] not in doomed]
-                heapify(pending)
-            cap = new_cap
-            while queued and busy < cap:
-                dispatch(t_fault, True)
-            continue
-
-        # ---- Timeout timer ------------------------------------------
-        if t_timer == t_next:
-            _, _, request = heappop(timers)
-            if request[0] in queued:  # may have been served by the drain
-                queued.discard(request[0])
-                deqpre_hist.add(t_timer, inclusive=True)
-                timeouts += 1
-                fail(
-                    request[1], request[2], request[3], request[4],
-                    REASON_TIMEOUT, t_timer,
-                )
-            continue
-
-        # ---- Trace arrival (before an injected one at the same time) -
-        if t_trace == t_next and t_trace <= t_injected:
-            if not queued and busy < cap:
-                # Pass A: contention-free chunk, cut at the next fault
-                # (rank before arrivals: equal-time arrivals excluded)
-                # and the next injected re-arrival (rank after trace
-                # arrivals: equal-time trace arrivals included).
-                window_arr, window_ids = cursor.window(chunk_size)
-                hi = len(window_arr)
-                if k < n_faults:
-                    hi = int(
-                        np.searchsorted(
-                            window_arr[:hi], t_fault, side="left"
-                        )
-                    )
-                if injected:
-                    hi = int(
-                        np.searchsorted(
-                            window_arr[:hi], t_injected, side="right"
-                        )
-                    )
-                unknown = np.nonzero(~known[window_ids[:hi]])[0]
-                if unknown.size:
-                    if unknown[0] == 0:
-                        raise SchedulingError(
-                            "unknown application "
-                            f"{app_names[window_ids[0]]!r}"
-                        )
-                    hi = int(unknown[0])
-                arr = window_arr[:hi]
-                ids = window_ids[:hi]
-                m = hi
-                if hedge is not None:
-                    draw_ids = np.repeat(ids, 2)
-                    values, events, snapshot = pools.peek(draw_ids)
-                    first = values[0::2]
-                    backup = values[1::2]
-                else:
-                    draw_ids = ids
-                    values, events, snapshot = pools.peek(ids)
-                    first = values
-                mults = (
-                    timeline.multipliers(arr)
-                    if has_slowdowns
-                    else np.ones(m)
-                )
-                effective_first = mults * first
-                if hedge is not None:
-                    alternative = hedge + mults * backup
-                    effective = np.minimum(effective_first, alternative)
-                else:
-                    effective = effective_first
-                comp_opt = arr + effective
-                pend_times = np.sort(
-                    np.fromiter(
-                        (e[0] for e in pending),
-                        dtype=np.float64,
-                        count=len(pending),
-                    )
-                )
-                dep_pend = np.searchsorted(pend_times, arr, side="left")
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr, side="left"
-                )
-                n_before = busy + np.arange(m) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= cap)[0]
-                cut = int(crossing[0]) if crossing.size else m
-                pools.commit(
-                    draw_ids,
-                    2 * cut if hedge is not None else cut,
-                    events,
-                    snapshot,
-                    n_apps,
-                )
-                pools.compact()
-                # cut >= 1: with busy < cap the first arrival always
-                # fits.  Observation is coalesced per app per chunk
-                # (the documented set-like contract).
-                for committed_id in np.unique(ids[:cut]):
-                    observe_app(app_names[committed_id])
-                if hedge is not None:
-                    hedges_launched += int(
-                        np.count_nonzero(effective_first[:cut] > hedge)
-                    )
-                    hedge_wins += int(
-                        np.count_nonzero(
-                            alternative[:cut] < effective_first[:cut]
-                        )
-                    )
-                started = arr[:cut].tolist()
-                comps = comp_opt[:cut].tolist()
-                ids_cut = ids[:cut].tolist()
-                idx0 = cursor.index
-                base = start_counter
-                spre_hist.add_batch(arr[:cut], inclusive=True)
-                for offset in range(cut):
-                    seq = base + offset
-                    flight[seq] = (
-                        comps[offset], started[offset], idx0 + offset,
-                        0, ids_cut[offset],
-                    )
-                    pending.append((comps[offset], seq))
-                start_counter += cut
-                heapify(pending)
-                busy += cut
-                cursor.advance(cut)
-                chunk_size = (
-                    min(chunk_size * 2, _CHUNK_MAX)
-                    if cut == m
-                    else _CHUNK_MIN
-                )
-            else:
-                idx = cursor.index
-                _, app_id = cursor.pop()
-                admit((idx, app_id, idx, 0, t_trace), t_trace)
-            continue
-
-        # ---- Injected re-arrival ------------------------------------
-        _, _, request = heappop(injected)
-        admit(request, t_injected)
-
-    fold.flush(_INF)
-    series.busy_instances = (
-        spre_hist.series()
-        + spost_hist.series()
-        - comp_hist.series()
-        - kill_hist.series()
-    )
-    series.queue_depth = (
-        enq_hist.series() - deqpre_hist.series() - deqpost_hist.series()
-    )
-    series.retries = retries
-    series.timeouts = timeouts
-    series.crash_kills = crash_kills
-    series.hedges_launched = hedges_launched
-    series.hedge_wins = hedge_wins
     return series.finalize()
 
 
@@ -1446,15 +1033,23 @@ def run_streaming_control(
     chunk_requests: int,
 ) -> StreamedSeries:
     """Streaming port of
-    :func:`~repro.cluster.control_engine.run_control_vectorized`.
+    :func:`~repro.cluster.control_engine.run_control_vectorized`, and of
+    :func:`~repro.cluster.chaos_engine.run_chaos_vectorized` under an
+    inert ``plane``.
 
-    The chaos port plus the two control event sources (decision ticks,
-    warmup activations), the vectorized arrival gate, and the shared
-    :class:`~repro.cluster.control.ControllerState` fed the identical
-    observations in the identical order.
+    A next-event loop over faults, control events (decision ticks,
+    warmup activations), timeout timers, trace arrivals, injected
+    re-arrivals and completions, with the vectorized arrival gate and
+    the shared :class:`~repro.cluster.control.ControllerState` fed the
+    identical observations in the identical order.  Per-start logs
+    collapse to a ``flight`` dict holding live starts only, and
+    completions emit to the fold at pending-heap pops — already
+    canonical (completion, start order), so no watermark sort is
+    needed.  An inert plane fires no decision ticks and records no live
+    series or per-app counts.
     """
     from repro.cluster.control import ControllerState
-    from repro.cluster.control_engine import _live_series
+    from repro.cluster.control_engine import _decision_ticks, _live_series
 
     cursor = _ChunkCursor(source, chunk_requests)
     _check_first_arrival(cursor)
@@ -1469,13 +1064,11 @@ def run_streaming_control(
 
     app_names = list(source.app_catalog)
     n_apps = len(app_names)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
     pools = _ServicePools(sim, app_names)
     prefixes = [policy.key.key_for(name) for name in app_names]
 
     state = ControllerState(plane, sim._max_instances, app_names)
+    controlled = plane.active
     windows = state.windows_active
     gating = state.gating_active
     surviving = timeline.initial_capacity
@@ -1486,9 +1079,7 @@ def run_streaming_control(
     n_faults = len(fault_times)
     has_slowdowns = len(timeline.slow_starts) > 0
 
-    ctrl_times = sample_tick_times(
-        source.duration_seconds, plane.control_interval_seconds
-    ).tolist()
+    ctrl_times = _decision_ticks(source, plane)
     n_ctrl = len(ctrl_times)
     jc = 0
     activations: List[Tuple[float, int, int]] = []  # (time, order, target)
@@ -1513,7 +1104,7 @@ def run_streaming_control(
     comp_hist = _TickHist(ticks)
     fold = _CompletionFold(
         series, max(chunk_requests, _FOLD_MIN),
-        presorted=True, track_apps=True,
+        presorted=True, track_apps=controlled,
     )
 
     qheap: List[tuple] = []
@@ -1601,10 +1192,6 @@ def run_streaming_control(
 
     def admit(request: tuple, now: float) -> None:
         qseq, app_id, orig_seq, attempt, orig_arrival = request
-        if not known[app_id]:
-            raise SchedulingError(
-                f"unknown application {app_names[app_id]!r}"
-            )
         if not state.admit(app_id):
             shed_drop(now)
             return
@@ -1769,14 +1356,6 @@ def run_streaming_control(
                             window_arr[:hi], t_injected, side="right"
                         )
                     )
-                unknown = np.nonzero(~known[window_ids[:hi]])[0]
-                if unknown.size:
-                    if unknown[0] == 0:
-                        raise SchedulingError(
-                            "unknown application "
-                            f"{app_names[window_ids[0]]!r}"
-                        )
-                    hi = int(unknown[0])
                 arr = window_arr[:hi]
                 ids = window_ids[:hi]
                 m = hi
@@ -1925,14 +1504,15 @@ def run_streaming_control(
     series.queue_depth = (
         enq_hist.series() - deqpre_hist.series() - deqpost_hist.series()
     )
-    series.live_instances = _live_series(state, ticks)
+    if controlled:
+        series.live_instances = _live_series(state, ticks)
+        series.scale_ups = state.scale_ups
+        series.scale_downs = state.scale_downs
     series.retries = retries
     series.timeouts = timeouts
     series.crash_kills = crash_kills
     series.hedges_launched = hedges_launched
     series.hedge_wins = hedge_wins
-    series.scale_ups = state.scale_ups
-    series.scale_downs = state.scale_downs
     return series.finalize()
 
 
@@ -1945,8 +1525,10 @@ def run_streaming(
 ) -> StreamedSeries:
     """Route a streaming run to the port matching the configuration.
 
-    Mirrors :meth:`RackSimulation.run`'s routing (control subsumes
-    chaos subsumes policy), with the same configuration errors.
+    Mirrors :meth:`RackSimulation.run`'s routing, with the same
+    configuration errors: any active fault, retry or control
+    configuration goes to the control port (an inert plane when only
+    faults or retries are active), then FCFS and keyed policies.
 
     Generator-backed sources additionally switch the simulation's
     service pools into bounded (windowed-replay) mode for the duration
@@ -1983,31 +1565,12 @@ def _dispatch_streaming(
     sample_interval_seconds: float,
     chunk_requests: int,
 ) -> StreamedSeries:
-    if sim._control_active():
-        if not isinstance(queue, KeyedPolicy):
-            raise ConfigurationError(
-                "the control plane requires a keyed policy (one "
-                "built on repro.cluster.policy_keys.PolicyKey); got "
-                f"{type(queue).__name__}"
-            )
-        timeline = sim._fault_timeline(source)
-        retry = sim._retry if sim._retry is not None else RetryPolicy()
+    dynamics = sim._fault_dynamics(queue, source)
+    if dynamics is not None:
+        timeline, retry, plane = dynamics
         return run_streaming_control(
             sim, queue, source, sample_interval_seconds,
-            timeline, retry, sim._control, chunk_requests,
-        )
-    if sim._chaos_active():
-        if not isinstance(queue, KeyedPolicy):
-            raise ConfigurationError(
-                "fault injection requires a keyed policy (one built "
-                "on repro.cluster.policy_keys.PolicyKey); got "
-                f"{type(queue).__name__}"
-            )
-        timeline = sim._fault_timeline(source)
-        retry = sim._retry if sim._retry is not None else RetryPolicy()
-        return run_streaming_chaos(
-            sim, queue, source, sample_interval_seconds,
-            timeline, retry, chunk_requests,
+            timeline, retry, plane, chunk_requests,
         )
     if type(queue) is FCFSPolicy:
         return run_streaming_fcfs(

@@ -20,7 +20,7 @@ Two registered experiments exercise the control plane of
   asserted in ``tests/test_control_equivalence.py``.
 
 Every cell runs through :class:`~repro.cluster.sweep.RackSweep`; the
-control engines are oracle-checked the same way the chaos engines are.
+control engines are oracle-checked the same way the chaos kernel is.
 """
 
 from __future__ import annotations

@@ -6,14 +6,16 @@ produces — series (incl. live-capacity and per-completion app records),
 latencies, drop times *and reasons* (incl. ``shed``), scaling/retry/
 timeout/kill/hedge counters, RNG end state, service-pool state — must
 match the vectorized engine exactly, across scaling policies, shedding
-configs, seeds, and fault mixes.  A disabled controller must degrade to
-the recorded ``BENCH_rack.json`` and ``BENCH_faults.json`` check hashes
-bit for bit, and the ``fig15-overload`` study must show brownout (p99 of
-admitted criticality-0 traffic within 2x of the uncongested baseline at
-4x overload) where the uncontrolled run collapses.
+configs, seeds, and fault mixes.  The same oracle run with an inert
+``ControlPlane()`` is the oracle of the chaos kernel (fault/retry runs
+without a controller): it fires no decision ticks and records no
+control telemetry.  A disabled controller must degrade to the recorded
+``BENCH_rack.json`` and ``BENCH_faults.json`` check hashes bit for bit,
+and the ``fig15-overload`` study must show brownout (p99 of admitted
+criticality-0 traffic within 2x of the uncongested baseline at 4x
+overload) where the uncontrolled run collapses.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from repro.cluster.control import (
     observer_plane,
 )
 from repro.cluster.faults import FaultSchedule, RetryPolicy
+from repro.cluster.fleet_engine import series_digest
 from repro.cluster.schedulers import PolicyFactory
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.trace import TraceGenerator
@@ -248,10 +251,14 @@ def test_unsorted_trace_control_falls_back_to_event_engine(suite, model):
 # Observer plane: routes through the control engines, changes nothing.
 
 
-def test_observer_plane_matches_uncontrolled_run(suite, model):
+@pytest.mark.parametrize("engine", ("event", "vectorized", "streaming"))
+def test_observer_plane_matches_uncontrolled_run(suite, model, engine):
     """An observer plane (floor pinned to the ceiling) must reproduce
-    the chaos engines' results exactly on every shared field — it adds
-    the per-app completion record without touching the dynamics."""
+    the uncontrolled run exactly on every shared field — it adds the
+    per-app completion record without touching the dynamics.  On the
+    event and streaming engines both sides run the control family (the
+    uncontrolled one with an inert plane), so the inert side must also
+    carry no control telemetry."""
     trace = make_trace(suite, 0.04, 2)
 
     def run(control):
@@ -264,70 +271,61 @@ def test_observer_plane_matches_uncontrolled_run(suite, model):
             faults=CHAOS_FAULTS,
             retry=CHAOS_RETRY,
             control=control,
-        ).run(trace, engine="vectorized")
+        ).run(trace, engine=engine)
 
     observed = run(observer_plane(8))
     plain = run(None)
+    if engine == "streaming":
+        # Shared fields: everything but the live series and per-app
+        # counts, which only the observer records.
+        assert plain.completed_per_app == {}
+        assert len(plain.live_instances) == 0
+        assert plain.scale_ups == plain.scale_downs == 0
+        assert observed.completed_count == plain.completed_count
+        assert np.array_equal(
+            observed.latency_sum_per_bucket, plain.latency_sum_per_bucket
+        )
+        assert np.array_equal(
+            observed.dropped_per_bucket, plain.dropped_per_bucket
+        )
+        assert np.array_equal(
+            observed.drop_reason_counts, plain.drop_reason_counts
+        )
+        assert observed.sketch.identical_to(plain.sketch)
+        assert sum(observed.completed_per_app.values()) == (
+            observed.completed_count
+        )
+    else:
+        assert np.array_equal(
+            observed.completed_latency_seconds,
+            plain.completed_latency_seconds,
+        )
+        assert np.array_equal(observed.completed_times, plain.completed_times)
+        assert np.array_equal(observed.dropped_times, plain.dropped_times)
+        assert np.array_equal(
+            observed.dropped_reasons, plain.dropped_reasons
+        )
+        assert len(plain.completed_app_ids) == 0
+        assert len(plain.live_instances) == 0
+        assert plain.app_catalog == ()
+        assert plain.scale_ups == plain.scale_downs == 0
+        assert len(observed.completed_app_ids) == len(
+            observed.completed_times
+        )
     assert np.array_equal(observed.queue_depth, plain.queue_depth)
     assert np.array_equal(observed.busy_instances, plain.busy_instances)
-    assert np.array_equal(
-        observed.completed_latency_seconds, plain.completed_latency_seconds
-    )
-    assert np.array_equal(observed.completed_times, plain.completed_times)
-    assert np.array_equal(observed.dropped_times, plain.dropped_times)
-    assert np.array_equal(observed.dropped_reasons, plain.dropped_reasons)
     assert observed.retries == plain.retries
+    assert observed.timeouts == plain.timeouts
     assert observed.crash_kills == plain.crash_kills
     assert observed.hedges_launched == plain.hedges_launched
     # ... and the record the observer adds is actually there.
     assert observed.scale_ups == 0 and observed.scale_downs == 0
+    assert len(observed.live_instances) == len(observed.sample_times)
     assert np.all(observed.live_instances == 8)
-    assert len(observed.completed_app_ids) == len(observed.completed_times)
-    assert len(plain.completed_app_ids) == 0
 
 
 # ----------------------------------------------------------------------
 # Controller-disabled reproduction of the recorded benchmark hashes.
-
-
-def _digest(*parts) -> str:
-    """``scripts/bench_common.digest`` re-stated (tests do not import
-    from scripts/)."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, bytes):
-            hasher.update(part)
-        else:
-            hasher.update(repr(part).encode())
-        hasher.update(b"\x00")
-    return f"sha256:{hasher.hexdigest()}"
-
-
-def _series_digest(series_by_platform) -> str:
-    """``scripts/bench_common.series_digest`` re-stated: the full
-    series, drop times *and reasons*, availability counters, and the
-    per-reason drop breakdown (including ``shed``)."""
-    parts = []
-    for name in sorted(series_by_platform):
-        series = series_by_platform[name]
-        parts.extend(
-            [
-                name,
-                series.completed_latency_seconds.tobytes(),
-                series.completed_times.tobytes(),
-                series.queue_depth.tobytes(),
-                series.busy_instances.tobytes(),
-                series.dropped_times.tobytes(),
-                series.dropped_reasons.tobytes(),
-                series.dropped_requests,
-                series.total_requests,
-                series.retries,
-                series.timeouts,
-                series.crash_kills,
-                tuple(sorted(series.drop_breakdown().items())),
-            ]
-        )
-    return _digest(*parts)
 
 
 def _bench_workload(bench_name):
@@ -365,12 +363,12 @@ def test_disabled_controller_reproduces_bench_rack_hash():
         )
         assert not simulation._control_active()
         series[name] = simulation.run(trace, engine="vectorized")
-    assert _series_digest(series) == recorded["check_hash"]
+    assert series_digest(series) == recorded["check_hash"]
 
 
 def test_disabled_controller_reproduces_bench_faults_hash():
     """Same, under the ``BENCH_faults.json`` chaos workload: the inert
-    plane must leave the chaos engines' recorded hash untouched."""
+    plane must leave the chaos kernel's recorded hash untouched."""
     recorded, context, trace, platforms = _bench_workload(
         "BENCH_faults.json"
     )
@@ -402,7 +400,7 @@ def test_disabled_controller_reproduces_bench_faults_hash():
         )
         assert not simulation._control_active()
         series[name] = simulation.run(trace, engine="vectorized")
-    assert _series_digest(series) == recorded["check_hash"]
+    assert series_digest(series) == recorded["check_hash"]
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,27 @@
-"""The chaos engines must be bit-identical — and inert configs free.
+"""The chaos kernel must match its oracle bit for bit — and inert
+configs must be free.
 
-The fault-injection layer has two execution paths: the event-driven
-chaos oracle and the vectorized chaos engine.  Everything the oracle
-produces — series, latencies, drop times *and reasons*, retry/timeout/
-kill/hedge counters, RNG end state, service-pool state — must match the
-vectorized engine exactly, across seeds, fault mixes, and both policy
-families (FCFS and keyed).  And a zero-fault schedule must degrade to
-today's fault-free engines bit for bit, including the recorded
-``BENCH_rack.json`` check hash.
+A fault/retry run is a control run whose plane does nothing, so the
+fault-injection layer's oracle is the control oracle
+(:func:`~repro.cluster.control_engine.run_control_event`) run with an
+inert ``ControlPlane()``: ``engine="event"`` routes fault/retry runs
+there.  Everything the oracle produces — series, latencies, drop times
+*and reasons*, retry/timeout/kill/hedge counters, RNG end state,
+service-pool state — must match the materialized chaos kernel exactly,
+across seeds, fault mixes, and both policy families (FCFS and keyed).
+And a zero-fault schedule must degrade to today's fault-free engines bit
+for bit, including the recorded ``BENCH_rack.json`` check hash.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cluster.control import ControlPlane
 from repro.cluster.faults import FaultSchedule, FaultTimeline, RetryPolicy
+from repro.cluster.fleet_engine import series_digest
 from repro.cluster.schedulers import PolicyFactory
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.trace import RequestTrace, TraceGenerator
@@ -228,12 +232,14 @@ def test_slowdown_only_identical(suite, models):
 def test_zero_fault_chaos_engines_reproduce_fault_free(
     suite, models, policy
 ):
-    """The chaos engines run on an empty timeline + inert retry policy
-    must equal today's fault-free engines bit for bit."""
-    from repro.cluster.chaos_engine import (
-        run_chaos_event,
-        run_chaos_vectorized,
-    )
+    """The chaos kernel and its oracle (the control oracle with an
+    inert plane), run on an empty timeline + inert retry policy, must
+    equal today's fault-free engines bit for bit."""
+    from repro.cluster.chaos_engine import run_chaos_vectorized
+    from repro.cluster.control_engine import run_control_event
+
+    def oracle(*args):
+        return run_control_event(*args, ControlPlane())
 
     trace = make_trace(suite, 0.05, 2)
     factory = policy_for(policy, suite, models)
@@ -260,7 +266,7 @@ def test_zero_fault_chaos_engines_reproduce_fault_free(
         models["baseline"], suite, max_instances=4, seed=2, policy=factory
     )
     baseline = baseline_sim.run(trace, engine="vectorized")
-    for runner in (run_chaos_event, run_chaos_vectorized):
+    for runner in (oracle, run_chaos_vectorized):
         sim, series = chaos_run(runner)
         assert series.identical_to(baseline)
         assert repr(sim._rng.bit_generator.state) == repr(
@@ -288,7 +294,7 @@ def test_inert_config_routes_to_fault_free_engines(suite, models):
 
 
 def test_unsorted_trace_chaos_falls_back_to_event_engine(suite, models):
-    """Chaos + an unsorted trace must route to the chaos oracle."""
+    """Chaos + an unsorted trace must route to the oracle."""
     base = make_trace(suite, 0.05, 1)
     shuffled = RequestTrace(
         arrival_seconds=base.arrival_seconds[::-1].copy(),
@@ -312,46 +318,6 @@ def test_unsorted_trace_chaos_falls_back_to_event_engine(suite, models):
 
 # ----------------------------------------------------------------------
 # Zero-fault reproduction of the recorded benchmark hash.
-
-
-def _digest(*parts) -> str:
-    """``scripts/bench_common.digest`` re-stated (tests do not import
-    from scripts/)."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, bytes):
-            hasher.update(part)
-        else:
-            hasher.update(repr(part).encode())
-        hasher.update(b"\x00")
-    return f"sha256:{hasher.hexdigest()}"
-
-
-def _series_digest(series_by_platform) -> str:
-    """``scripts/bench_common.series_digest`` re-stated: the full series,
-    drop times *and reasons*, availability counters, and the per-reason
-    drop breakdown (including ``shed``)."""
-    parts = []
-    for name in sorted(series_by_platform):
-        series = series_by_platform[name]
-        parts.extend(
-            [
-                name,
-                series.completed_latency_seconds.tobytes(),
-                series.completed_times.tobytes(),
-                series.queue_depth.tobytes(),
-                series.busy_instances.tobytes(),
-                series.dropped_times.tobytes(),
-                series.dropped_reasons.tobytes(),
-                series.dropped_requests,
-                series.total_requests,
-                series.retries,
-                series.timeouts,
-                series.crash_kills,
-                tuple(sorted(series.drop_breakdown().items())),
-            ]
-        )
-    return _digest(*parts)
 
 
 def test_zero_fault_run_reproduces_bench_rack_hash():
@@ -386,4 +352,4 @@ def test_zero_fault_run_reproduces_bench_rack_hash():
             retry=RetryPolicy(),
         )
         series[name] = simulation.run(trace, engine="vectorized")
-    assert _series_digest(series) == recorded["check_hash"]
+    assert series_digest(series) == recorded["check_hash"]

@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 from repro.cluster import simulation as simulation_module
+from repro.cluster.control import observer_plane
+from repro.cluster.faults import RetryPolicy
 from repro.cluster.policy_engine import run_keyed
 from repro.cluster.schedulers import PolicyFactory
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.trace import RequestTrace, TraceGenerator
 from repro.core.model import ServerlessExecutionModel
+from repro.errors import SchedulingError
 from repro.experiments.benchmarks import benchmark_suite
 from repro.platforms.registry import baseline_cpu, dscs_dsa
 
@@ -338,19 +341,103 @@ def test_pre_hook_external_policy_still_runs(suite, models):
     assert series.identical_to(reference)
 
 
-def test_keyed_run_on_unknown_application_raises(suite, models, estimates):
-    """Both engines fail identically on an app outside the suite."""
-    from repro.errors import SchedulingError
+# Engine families an unknown application must fail identically on.
+UNKNOWN_APP_CONFIGS = ("fault-free", "retry-active", "observer-plane")
 
-    trace = RequestTrace(
-        arrival_seconds=np.array([0.0, 0.1]),
-        app_names=(next(iter(suite)), "not-a-real-app"),
-        duration_seconds=1.0,
+
+def _unknown_app_kwargs(config):
+    if config == "fault-free":
+        return {}
+    if config == "retry-active":
+        return {"retry": RetryPolicy(timeout_seconds=100.0)}
+    return {"control": observer_plane(1)}
+
+
+@pytest.mark.parametrize("engine", ("event", "vectorized", "streaming"))
+@pytest.mark.parametrize("config", UNKNOWN_APP_CONFIGS)
+def test_keyed_run_on_unknown_application_raises(
+    suite, models, estimates, config, engine
+):
+    """Every engine family rejects an app outside the suite, before any
+    service draw — also when the request would meet a full queue (one
+    instance, one queue slot) and so never be admitted."""
+    app = next(iter(suite))
+    traces = (
+        RequestTrace(
+            arrival_seconds=np.array([0.0, 0.1]),
+            app_names=(app, "not-a-real-app"),
+            duration_seconds=1.0,
+        ),
+        RequestTrace(
+            arrival_seconds=np.array([0.0, 0.001, 0.002]),
+            app_names=(app, app, "not-a-real-app"),
+            duration_seconds=1.0,
+        ),
     )
     factory = make_factory("sjf", suite, estimates)
-    for engine in ("event", "vectorized"):
+    for trace in traces:
         sim = RackSimulation(
-            models["baseline"], suite, max_instances=4, seed=1, policy=factory
+            models["baseline"],
+            suite,
+            max_instances=1,
+            queue_depth=1,
+            seed=1,
+            policy=factory,
+            **_unknown_app_kwargs(config),
         )
-        with pytest.raises(SchedulingError):
+        state = repr(sim._rng.bit_generator.state)
+        with pytest.raises(SchedulingError, match="not-a-real-app"):
             sim.run(trace, engine=engine)
+        assert repr(sim._rng.bit_generator.state) == state
+        assert sim._service_samples == {}
+
+
+@pytest.mark.parametrize("policy", ("fcfs", "criticality"))
+def test_unsorted_trace_served_in_arrival_order(suite, models, policy):
+    """FCFS order on an unsorted trace is arrival order on every event
+    path: the fault-free oracle, the fault-aware oracle under a retry
+    policy that never fires, and the control oracle under an observer
+    plane.  The admission sequence keyed ties break on is the request's
+    rank in (arrival, trace index) order, not its trace position."""
+    app = next(iter(suite))
+    trace = RequestTrace(
+        arrival_seconds=np.array([1.02, 1.0, 1.01]),
+        app_names=(app, app, app),
+        duration_seconds=3.0,
+    )
+    factory = (
+        PolicyFactory("fcfs")
+        if policy == "fcfs"
+        else PolicyFactory("criticality", priorities={app: 0})
+    )
+    runs = []
+    for kwargs in (
+        {},
+        {"retry": RetryPolicy(max_retries=1)},
+        {"control": observer_plane(1)},
+    ):
+        sim = RackSimulation(
+            models["baseline"],
+            suite,
+            max_instances=1,
+            seed=1,
+            policy=factory,
+            **kwargs,
+        )
+        runs.append(sim.run(trace, engine="event"))
+    for series in runs:
+        assert series.retries == 0
+        # One instance serves the queue in arrival order: completion k
+        # belongs to the k-th earliest arrival.
+        assert np.allclose(
+            series.completed_times - series.completed_latency_seconds,
+            [1.0, 1.01, 1.02],
+        )
+        for name in (
+            "completed_latency_seconds",
+            "completed_times",
+            "queue_depth",
+            "busy_instances",
+            "dropped_times",
+        ):
+            assert np.array_equal(getattr(series, name), getattr(runs[0], name))

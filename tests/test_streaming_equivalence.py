@@ -1,8 +1,9 @@
 """The streaming engine must be bit-identical at every chunk size.
 
-The chunked execution path re-implements every vectorized family —
-FCFS, keyed policies, chaos, control — folding bounded chunks into
-running telemetry instead of materializing whole-trace arrays.  The
+The chunked execution path ports three vectorized families — FCFS,
+keyed policies and control, whose port also serves fault/retry runs
+with an inert plane — folding bounded chunks into running telemetry
+instead of materializing whole-trace arrays.  The
 contract under test:
 
 - for chunk sizes smaller than a busy period, a non-divisor of the
