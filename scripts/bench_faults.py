@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Benchmark the chaos kernel against its oracle under faults.
+"""Benchmark fault/retry runs against their oracle under faults.
 
 Runs the paper's full 20-minute bursty trace (both platforms, 200
 instances) with a mild fault schedule (instance churn + slowdown
@@ -8,8 +8,9 @@ windows) and a retry policy (queue timeouts, bounded retries) through
 - the **event-driven oracle** — the control oracle with an inert
   plane: one handler call per arrival, retry re-arrival, timeout timer,
   capacity event, and completion, and
-- the **vectorized chaos engine** — pass-A chunking with capacity
-  epochs plus the keyed dispatch kernel —
+- the **control kernel with an inert plane**
+  (``run_chaos_vectorized``) — pass-A windows within capacity epochs
+  plus the keyed dispatch —
 
 checks the two are bit-identical (series, drop reasons, retry/timeout/
 kill counters, RNG end state), and writes the shared ``bench_common``

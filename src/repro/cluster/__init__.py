@@ -5,13 +5,12 @@ trace for 20 minutes, with a pluggable scheduler holding up to 10,000
 queued requests.  Produces the arrival/queue-depth/latency time series
 of Fig. 13 and the wall-clock comparison of §6.2.2.  Every scheduling
 policy is a :class:`~repro.cluster.policy_keys.PolicyKey` (static
-per-app key vector + sequence tie-break) driving two bit-identical
-backends: FCFS runs execute on the vectorized busy-period engine
-(:mod:`repro.cluster.fast_engine`), keyed policies (SJF, criticality,
-DAG-aware) on the index-priority engine
-(:mod:`repro.cluster.policy_engine`), both enforced against the
-event-driven oracle; :mod:`repro.cluster.sweep` fans scenario grids out
-over shared traces and service samples.
+per-app key vector + sequence tie-break): FCFS runs execute on the
+vectorized busy-period kernel (:mod:`repro.cluster.fast_engine`), keyed
+policies (SJF, criticality, DAG-aware) on the index-priority kernel
+(:mod:`repro.cluster.policy_engine`), both enforced bit-identical
+against the event-driven oracle; :mod:`repro.cluster.sweep` fans
+scenario grids out over shared traces and service samples.
 
 Fault injection rides on top: a seeded
 :class:`~repro.cluster.faults.FaultSchedule` (instance crashes,
@@ -26,20 +25,23 @@ actuates reactive autoscaling (target-utilization or queue-depth
 scaling with warmup delays and graceful scale-downs, composing with
 fault timelines as ``min(autoscaled, surviving)``) and overload
 protection (token-bucket admission, CoDel-style queue-delay shedding,
-brownout by criticality, per-app circuit breakers) — again through two
-bit-identical engines (:mod:`repro.cluster.control_engine`), with every
-shed recorded under the terminal ``shed`` drop reason.  Control
-subsumes chaos: a fault/retry run is a control run with an inert
-``ControlPlane()``, so the control oracle also checks the materialized
-chaos kernel (:mod:`repro.cluster.chaos_engine`), and
-``engine="event"``, unsorted traces and ``engine="streaming"`` send
-fault/retry runs to the control family.
+brownout by criticality, per-app circuit breakers) — again through an
+oracle and a kernel proven bit-identical
+(:mod:`repro.cluster.control_engine`), with every shed recorded under
+the terminal ``shed`` drop reason.  Control subsumes chaos: a
+fault/retry run is a control run with an inert ``ControlPlane()``, so
+every fault/retry run takes the control family
+(:mod:`repro.cluster.chaos_engine` holds only its materialized
+inert-plane entry).
 
 Rack engines, in all: two event oracles (the fault-free one inside
 :class:`~repro.cluster.simulation.RackSimulation` and
-:func:`~repro.cluster.control_engine.run_control_event`), four
-materialized kernels (FCFS, keyed, chaos, control) and three streaming
-ports (:mod:`repro.cluster.streaming`: FCFS, keyed, control).
+:func:`~repro.cluster.control_engine.run_control_event`) and three
+kernels (FCFS, keyed, control), each run either materialized — one
+whole-trace chunk folded into a retaining
+:class:`~repro.cluster.simulation.SeriesSink` — or streamed — bounded
+chunks folded into a :class:`~repro.cluster.streaming.StreamedSeries`
+(:mod:`repro.cluster.streaming`).
 
 The fleet layer (:mod:`repro.cluster.fleet`) scales all of the above to
 a multi-rack datacenter: a :class:`~repro.cluster.fleet.FleetTopology`

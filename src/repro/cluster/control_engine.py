@@ -1,48 +1,69 @@
-"""Closed-loop control engines for the rack simulator (oracle + fast).
+"""The fault-aware rack engines: the control oracle and the control kernel.
 
-Both engines run the fault/retry dynamics of
-:mod:`repro.cluster.chaos_engine` *plus* a
-:class:`~repro.cluster.control.ControlPlane` evaluated at a fixed
-control interval: reactive autoscaling (live capacity becomes
-``min(autoscaled, surviving)``, where ``surviving`` is the fault
-timeline's step function) and overload protection (token-bucket
-admission, CoDel-style queue shedding, brownout by criticality,
-per-app circuit breaking — every shed a terminal ``shed`` drop).
+A fault-aware run perturbs the rack.  A
+:class:`~repro.cluster.faults.FaultTimeline` steps fleet capacity up
+and down (crashes kill the in-flight requests with the latest
+completions and shrink capacity; recoveries dispatch the backlog),
+slowdown windows scale service times, and a
+:class:`~repro.cluster.faults.RetryPolicy` times out queued requests,
+re-injects failed attempts with backoff, and hedges started requests
+with a backup copy.  A :class:`~repro.cluster.control.ControlPlane`
+evaluated at a fixed control interval closes the loop: reactive
+autoscaling (live capacity becomes ``min(autoscaled, surviving)``,
+where ``surviving`` is the fault timeline's step function) and overload
+protection (token-bucket admission, CoDel-style queue shedding,
+brownout by criticality, per-app circuit breaking — every shed a
+terminal ``shed`` drop).
 
-Same-timestamp events extend the chaos rank rule with control events
-ranked between faults and timers (a capacity crash is ground truth the
-controller reacts to; control decisions precede the traffic they
-govern):
+Same-timestamp events follow a strict rank order, extending the base
+simulator's ``arrival < tick < completion`` rule (a capacity crash is
+ground truth the controller reacts to; control decisions precede the
+traffic they govern):
 
     fault < control (decision before warmup activation)
           < timeout < arrival (trace before injected) < tick < completion
+
+with completions tie-broken by start order.
 
 Shared semantics, implemented twice:
 
 - :func:`run_control_event` — the reference oracle: one ranked event
   heap with one handler per event kind (faults, control ticks, warmup
   activations, timeouts, arrivals, sample ticks, completions).
-- :func:`run_control_vectorized` — the chaos kernel's next-event loop
-  with two more event sources (decision ticks, warmup activations).
-  Control ticks are natural chunk boundaries: pass-A chunks are
-  additionally cut at the next control event, the arrival gate is
-  applied as a vectorized mask (token spend committed only for the
-  admitted prefix that actually starts), and the tentative-draw RNG
-  rollback covers admitted arrivals only — shed arrivals never touch
-  the RNG, in either engine.
+- :func:`control_kernel` — a next-event loop over the same sources.
+  Faults and control events partition the timeline into capacity
+  epochs; within one, contention-free stretches run through the windowed
+  pass A of the fault-free kernels (``completion = arrival + service``,
+  ``searchsorted`` occupancy checks, tentative-draw RNG rollback), the
+  arrival gate applied as a vectorized mask (token spend committed only
+  for the admitted prefix that actually starts; shed arrivals never
+  touch the RNG), and congested stretches step serially through the
+  keyed dispatch.  Like every rack kernel it walks the trace in chunks
+  and folds its events into a telemetry sink (see
+  :mod:`repro.cluster.fast_engine`): :func:`run_control_vectorized`
+  (active plane) and
+  :func:`~repro.cluster.chaos_engine.run_chaos_vectorized` (inert
+  plane) are one whole-trace chunk into a retaining sink,
+  ``engine="streaming"`` bounded chunks into a
+  :class:`~repro.cluster.streaming.StreamedSeries`.
 
 Control subsumes chaos: a fault/retry run is a control run whose plane
 does nothing.  An inert ``ControlPlane()`` schedules no decision ticks
 and records no control telemetry, so :func:`run_control_event` with an
-inert plane is also the oracle of the materialized chaos kernel, and
-:class:`~repro.cluster.simulation.RackSimulation` sends every
-fault/retry run on ``engine="event"`` or an unsorted trace there.
+inert plane is the oracle of every fault/retry run, and
+:class:`~repro.cluster.simulation.RackSimulation` sends every such run
+on ``engine="event"`` or an unsorted trace there.
 
-The decision logic itself lives in one place —
+Failure handling is crash-only and loss-free in accounting terms: every
+trace request ends as exactly one completion or one reasoned drop
+(``queue_full`` / ``timeout`` / ``crashed`` / ``shed``), which
+``tests/test_fault_property.py`` asserts for every engine and seed.  The
+decision logic itself lives in one place —
 :class:`~repro.cluster.control.ControllerState` — and is *shared*, not
 re-implemented: both engines feed it the identical observations in the
 identical order, which is what makes the control loop bit-identical by
-construction (``tests/test_control_equivalence.py``).
+construction (``tests/test_control_equivalence.py``,
+``tests/test_fault_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -55,10 +76,12 @@ import numpy as np
 
 from repro.cluster.control import ControllerState, ControlPlane
 from repro.cluster.fast_engine import (
-    _CHUNK_MAX,
-    _CHUNK_MIN,
+    _WINDOW_MAX,
+    _WINDOW_MIN,
+    TickLog,
     _ServicePools,
     admission_ranks,
+    checked_chunks,
     sample_tick_times,
 )
 from repro.cluster.faults import (
@@ -107,8 +130,8 @@ def _decision_ticks(trace, plane: ControlPlane) -> List[float]:
     """Control decision times: none for an inert plane.
 
     An inert plane decides nothing, so its ticks could only cut pass-A
-    chunks; skipping them keeps a fault/retry run on the control
-    engines exactly the run the chaos kernel makes.
+    windows; skipping them keeps a fault/retry run free of control
+    events on both engines.
     """
     if not plane.active:
         return []
@@ -161,7 +184,7 @@ def run_control_event(
 
     With an inert ``plane`` this is the oracle of fault/retry runs: no
     decision ticks fire and no control telemetry is recorded, which is
-    exactly the result the chaos kernel must reproduce.
+    exactly the result the control kernel must reproduce for them.
     """
     from repro.cluster.simulation import SimulationSeries
 
@@ -427,32 +450,37 @@ def run_control_event(
     )
 
 
-def run_control_vectorized(
+def control_kernel(
     sim: "RackSimulation",
     policy: "KeyedPolicy",
-    trace: "RequestTrace",
-    sample_interval_seconds: float,
+    source,
+    sink,
+    chunk_requests: int,
     timeline: FaultTimeline,
     retry: RetryPolicy,
     plane: ControlPlane,
-) -> "SimulationSeries":
-    """Control engine: chaos pass-A chunking + control-epoch boundaries.
+):
+    """Serve ``source`` with faults, retries and ``plane``, chunk by
+    chunk; returns ``sink.finalize()``.
 
-    The chaos engine's next-event loop with two added sources (decision
-    ticks, warmup activations).  Contention-free chunks are additionally
-    cut at the next control event; within a chunk the arrival gate runs
-    as a vectorized mask over the current blocked set and token balance,
-    with token spend committed only for the prefix that actually starts.
-    Bit-identical to :func:`run_control_event`.
+    A next-event loop over faults, control events (decision ticks,
+    warmup activations), timeout timers, trace arrivals, injected
+    re-arrivals and completions, ordered by the module's rank rule.
+    Whenever the next event is a trace arrival with an empty queue and
+    capacity to spare, a whole contention-free window is served at once
+    — cut at the first admitted arrival that would queue, at the next
+    fault and control event, at the next injected re-arrival and at the
+    chunk end — with the arrival gate applied as a vectorized mask
+    (token spend committed only for the admitted prefix that actually
+    starts) and tentative service draws rolled back exactly as in the
+    fault-free kernels; shed arrivals never touch the RNG.  In-flight
+    starts live in a ``flight`` dict, so completions fold at
+    pending-heap pops, already in canonical (completion, start order).
+    Folds into ``sink`` at every chunk boundary after the first and
+    once at the end; pools compact at the same boundaries.  An inert
+    plane fires no decision ticks and records no control telemetry.
     """
-    from repro.cluster.simulation import SimulationSeries
-
-    arrivals = np.asarray(trace.arrival_seconds, dtype=np.float64)
-    n = len(arrivals)
-    if n and float(arrivals[0]) < 0:
-        raise SimulationError(
-            f"event scheduled at negative time {float(arrivals[0])}"
-        )
+    n = source.total_requests
     qmax = sim._queue_depth
     timeout = retry.timeout_seconds
     hedge = retry.hedge_after_seconds
@@ -461,13 +489,13 @@ def run_control_vectorized(
     observe_app = policy.observe_app
     service_time = sim._service_time
 
-    app_names = list(trace.app_catalog)
+    app_names = list(source.app_catalog)
     n_apps = len(app_names)
-    app_ids = trace.app_ids.astype(np.intp)
     pools = _ServicePools(sim, app_names)
     prefixes = [policy.key.key_for(name) for name in app_names]
 
     state = ControllerState(plane, sim._max_instances, app_names)
+    controlled = plane.active
     windows = state.windows_active
     gating = state.gating_active
     surviving = timeline.initial_capacity
@@ -478,41 +506,68 @@ def run_control_vectorized(
     n_faults = len(fault_times)
     has_slowdowns = len(timeline.slow_starts) > 0
 
-    ctrl_times = _decision_ticks(trace, plane)
+    ctrl_times = _decision_ticks(source, plane)
     n_ctrl = len(ctrl_times)
     jc = 0
     activations: List[Tuple[float, int, int]] = []  # (time, order, target)
     activation_counter = count()
+
+    # Tick-visible event logs.  ``pre`` events rank before an equal-time
+    # sample tick (visible to it), ``post`` events after it.
+    ticks = sink.sample_times
+    starts_pre = TickLog(ticks, inclusive=True)
+    starts_post = TickLog(ticks, inclusive=False)
+    enqueued = TickLog(ticks, inclusive=True)
+    dequeued_pre = TickLog(ticks, inclusive=True)
+    dequeued_post = TickLog(ticks, inclusive=False)
+    kills = TickLog(ticks, inclusive=True)
+    completion_log = TickLog(ticks, inclusive=False)
+    logs = (
+        starts_pre, starts_post, enqueued, dequeued_pre, dequeued_post,
+        kills, completion_log,
+    )
+    done_times: List[float] = []
+    done_latencies: List[float] = []
+    done_apps: List[int] = []
+    drop_times: List[float] = []
+    drop_reasons: List[int] = []
+
+    def fold() -> None:
+        if done_times:
+            times = np.array(done_times)
+            sink.fold_completions(
+                times,
+                np.array(done_latencies),
+                np.array(done_apps, dtype=np.int64) if controlled else None,
+            )
+            completion_log.extend(times)
+            done_times.clear()
+            done_latencies.clear()
+            done_apps.clear()
+        if drop_times:
+            sink.fold_drops(
+                np.array(drop_times), np.array(drop_reasons, dtype=np.int8)
+            )
+            drop_times.clear()
+            drop_reasons.clear()
+        for log in logs:
+            log.count()
 
     # Queue entries: ``prefix + request`` where a request is the tuple
     # ``(qseq, app_id, orig_seq, attempt, orig_arrival)``.
     qheap: List[tuple] = []
     # qseq -> (enqueue time, heap sort key); doubles as the queued set.
     queued: Dict[int, Tuple[float, tuple]] = {}
-    timers: List[tuple] = []
-    injected: List[tuple] = []
+    timers: List[tuple] = []  # (deadline, push order, request)
+    injected: List[tuple] = []  # (time, push order, request)
     pending: List[Tuple[float, int]] = []  # (completion, start_seq), live only
+    # start_seq -> (completion, orig_arrival, orig_seq, attempt, app_id)
+    flight: Dict[int, Tuple[float, float, int, int, int]] = {}
     timer_counter = count()
     injected_counter = count()
     busy = 0
+    start_counter = 0
     retry_counter = 0
-
-    start_origs: List[float] = []
-    start_comps: List[float] = []
-    start_meta: List[Tuple[int, int, int]] = []  # (orig_seq, attempt, app_id)
-    killed_flags: List[bool] = []
-    alive: Set[int] = set()
-
-    starts_pre: List[float] = []
-    starts_post: List[float] = []
-    enq_times: List[float] = []
-    deq_pre: List[float] = []
-    deq_post: List[float] = []
-    kill_times: List[float] = []
-
-    dropped = 0
-    drop_times: List[float] = []
-    drop_reasons: List[int] = []
     retries = timeouts = crash_kills = 0
     hedges_launched = hedge_wins = 0
 
@@ -524,7 +579,7 @@ def run_control_vectorized(
         attempt: int,
         pre_tick: bool,
     ) -> None:
-        nonlocal busy, hedges_launched, hedge_wins
+        nonlocal busy, start_counter, hedges_launched, hedge_wins
         sample = service_time(app_names[app_id])
         mult = multiplier_at(now)
         effective = mult * sample
@@ -537,12 +592,9 @@ def run_control_vectorized(
                 hedge_wins += 1
                 effective = alternative
         done = now + effective
-        seq = len(start_comps)
-        start_origs.append(orig_arrival)
-        start_comps.append(done)
-        start_meta.append((orig_seq, attempt, app_id))
-        killed_flags.append(False)
-        alive.add(seq)
+        seq = start_counter
+        start_counter += 1
+        flight[seq] = (done, orig_arrival, orig_seq, attempt, app_id)
         heappush(pending, (done, seq))
         busy += 1
         (starts_pre if pre_tick else starts_post).append(now)
@@ -551,7 +603,7 @@ def run_control_vectorized(
         app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
         reason: int, now: float,
     ) -> None:
-        nonlocal dropped, retries, retry_counter
+        nonlocal retries, retry_counter
         if windows:
             state.record_failure(app_id)
         if attempt < max_retries:
@@ -565,13 +617,10 @@ def run_control_vectorized(
                 injected, (now + delay, next(injected_counter), reattempt)
             )
         else:
-            dropped += 1
             drop_times.append(now)
             drop_reasons.append(reason)
 
     def shed_drop(now: float) -> None:
-        nonlocal dropped
-        dropped += 1
         drop_times.append(now)
         drop_reasons.append(REASON_SHED)
 
@@ -582,7 +631,7 @@ def run_control_vectorized(
             if request[0] in queued:
                 break
         queued.pop(request[0])
-        (deq_pre if pre_tick else deq_post).append(now)
+        (dequeued_pre if pre_tick else dequeued_post).append(now)
         start(request[1], now, request[4], request[2], request[3], pre_tick)
 
     def admit(request: tuple, now: float) -> None:
@@ -597,19 +646,40 @@ def run_control_vectorized(
             observe_app(app_names[app_id])
             entry = prefixes[app_id] + request
             heappush(qheap, entry)
-            queued[qseq] = (now, entry[: -4])
-            enq_times.append(now)
+            queued[qseq] = (now, entry[:-4])
+            enqueued.append(now)
             if timeout is not None:
                 heappush(timers, (now + timeout, next(timer_counter), request))
         else:
             fail(app_id, orig_seq, attempt, orig_arrival, REASON_QUEUE_FULL, now)
 
-    i = 0
-    k = 0
-    chunk_size = _CHUNK_MIN
-    arrivals_list = arrivals.tolist()
-    app_ids_list = app_ids.tolist()
+    chunks = checked_chunks(source, chunk_requests)
+    arrivals = np.empty(0)
+    app_ids = np.empty(0, dtype=np.intp)
+    arrivals_list: List[float] = []
+    ids_list: List[int] = []
+    n_chunk = 0
+    base = 0  # global trace index of the chunk's first request
+    i = 0  # chunk-local index of the next trace arrival
+    k = 0  # next fault event
+    window_size = _WINDOW_MIN
     while True:
+        if i == n_chunk and chunks is not None:
+            # The next trace arrival opens the next chunk: fetch it
+            # before ranking events, folding the finished chunk's.
+            fetched = next(chunks, None)
+            if fetched is None:
+                chunks = None
+            else:
+                if n_chunk:
+                    fold()
+                    pools.compact()
+                base += n_chunk
+                arrivals, app_ids = fetched
+                arrivals_list = arrivals.tolist()
+                ids_list = app_ids.tolist()
+                n_chunk = len(arrivals_list)
+                i = 0
         if not queued:
             if timers:
                 timers.clear()
@@ -622,22 +692,25 @@ def run_control_vectorized(
         t_activation = activations[0][0] if activations else _INF
         t_control = min(t_decision, t_activation)
         t_timer = timers[0][0] if timers else _INF
-        t_trace = arrivals_list[i] if i < n else _INF
+        t_trace = arrivals_list[i] if i < n_chunk else _INF
         t_injected = injected[0][0] if injected else _INF
         t_next = min(t_fault, t_control, t_timer, t_trace, t_injected)
 
         # Completions strictly before the next ranked event fire first
         # (completion has the last rank), each freeing a server for the
         # current min-key queued request and feeding the telemetry
-        # window the controller reads at its next tick.
+        # window the controller reads at its next tick.  Pops come in
+        # the canonical (completion, start order).
         while pending and pending[0][0] < t_next:
             done, seq = heappop(pending)
             busy -= 1
-            alive.discard(seq)
+            record = flight.pop(seq)
+            latency = done - record[1]
             if windows:
-                state.record_completion(
-                    start_meta[seq][2], done - start_origs[seq]
-                )
+                state.record_completion(record[4], latency)
+            done_times.append(done)
+            done_latencies.append(latency)
+            done_apps.append(record[4])
             if queued and busy < cap:
                 dispatch(done, False)
         if t_next == _INF:
@@ -648,20 +721,20 @@ def run_control_vectorized(
             surviving = int(fault_caps[k])
             k += 1
             if surviving < busy:
+                # Crashes kill: the in-flight requests that would finish
+                # last die, down to the surviving machine count.
                 shortfall = busy - surviving
-                victims = sorted((start_comps[s], s) for s in alive)[
-                    -shortfall:
-                ]
+                victims = sorted(
+                    (record[0], seq) for seq, record in flight.items()
+                )[-shortfall:]
                 doomed = {seq for _, seq in victims}
                 for _, seq in reversed(victims):
-                    alive.discard(seq)
-                    killed_flags[seq] = True
+                    record = flight.pop(seq)
                     busy -= 1
                     crash_kills += 1
-                    kill_times.append(t_fault)
-                    orig_seq, attempt, app_id = start_meta[seq]
+                    kills.append(t_fault)
                     fail(
-                        app_id, orig_seq, attempt, start_origs[seq],
+                        record[4], record[2], record[3], record[1],
                         REASON_CRASHED, t_fault,
                     )
                 pending = [e for e in pending if e[1] not in doomed]
@@ -689,7 +762,7 @@ def run_control_vectorized(
                     )
                     for qseq in victims:
                         queued.pop(qseq)
-                        deq_pre.append(t)
+                        dequeued_pre.append(t)
                         shed_drop(t)
                 if activation is not None:
                     heappush(
@@ -708,9 +781,9 @@ def run_control_vectorized(
         # ---- Timeout timer ------------------------------------------
         if t_timer == t_next:
             _, _, request = heappop(timers)
-            if request[0] in queued:
+            if request[0] in queued:  # may have been served by a drain
                 queued.pop(request[0])
-                deq_pre.append(t_timer)
+                dequeued_pre.append(t_timer)
                 timeouts += 1
                 fail(
                     request[1], request[2], request[3], request[4],
@@ -720,213 +793,193 @@ def run_control_vectorized(
 
         # ---- Trace arrival (before an injected one at the same time) -
         if t_trace == t_next and t_trace <= t_injected:
-            if not queued and busy < cap:
-                # Pass A: contention-free chunk, cut at the next fault
-                # and control event (both ranked before arrivals:
-                # equal-time arrivals excluded) and the next injected
-                # re-arrival (ranked after: equal-time included).
-                hi = min(n, i + chunk_size)
-                if k < n_faults:
-                    hi = i + int(
-                        np.searchsorted(arrivals[i:hi], t_fault, side="left")
-                    )
-                if t_control < _INF:
-                    hi = i + int(
-                        np.searchsorted(
-                            arrivals[i:hi], t_control, side="left"
-                        )
-                    )
-                if injected:
-                    hi = i + int(
-                        np.searchsorted(arrivals[i:hi], t_injected, side="right")
-                    )
-                chunk = slice(i, hi)
-                m = hi - i
-                arr = arrivals[chunk]
-                ids = app_ids[chunk]
-                # Arrival gate over the chunk.  No refill interleaves
-                # (chunks are cut at control events), so the mask equals
-                # the oracle's arrival-by-arrival decisions; sheds never
-                # draw service samples.
-                if gating:
-                    mask = state.gate_mask(ids)
-                    all_admitted = bool(mask.all())
-                else:
-                    mask = None
-                    all_admitted = True
-                if all_admitted:
-                    positions = None
-                    arr_adm = arr
-                    ids_adm = ids
-                    n_adm = m
-                else:
-                    positions = np.nonzero(mask)[0]
-                    n_adm = int(positions.size)
-                    arr_adm = arr[positions]
-                    ids_adm = ids[positions]
-                if n_adm == 0:
-                    # Every arrival in the chunk is shed: no capacity
-                    # interaction, the whole chunk commits as drops.
-                    dropped += m
-                    drop_times.extend(arr.tolist())
-                    drop_reasons.extend([REASON_SHED] * m)
-                    i = hi
-                    chunk_size = min(chunk_size * 2, _CHUNK_MAX)
-                    continue
-                if hedge is not None:
-                    draw_ids = np.repeat(ids_adm, 2)
-                    values, events, snapshot = pools.peek(draw_ids)
-                    first = values[0::2]
-                    backup = values[1::2]
-                else:
-                    draw_ids = ids_adm
-                    values, events, snapshot = pools.peek(ids_adm)
-                    first = values
-                mults = (
-                    timeline.multipliers(arr_adm)
-                    if has_slowdowns
-                    else np.ones(n_adm)
-                )
-                effective_first = mults * first
-                if hedge is not None:
-                    alternative = hedge + mults * backup
-                    effective = np.minimum(effective_first, alternative)
-                else:
-                    effective = effective_first
-                comp_opt = arr_adm + effective
-                pend_times = np.sort(
-                    np.fromiter(
-                        (e[0] for e in pending),
-                        dtype=np.float64,
-                        count=len(pending),
-                    )
-                )
-                dep_pend = np.searchsorted(pend_times, arr_adm, side="left")
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr_adm, side="left"
-                )
-                n_before = busy + np.arange(n_adm) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= cap)[0]
-                cut = int(crossing[0]) if crossing.size else n_adm
-                # cut >= 1: with busy < cap the first *admitted* arrival
-                # always fits, so progress is guaranteed.
-                if cut == n_adm:
-                    committed = m
-                elif positions is None:
-                    committed = cut
-                else:
-                    committed = int(positions[cut])
-                pools.commit(
-                    draw_ids,
-                    2 * cut if hedge is not None else cut,
-                    events,
-                    snapshot,
-                    n_apps,
-                )
-                state.consume(cut)
-                if positions is not None:
-                    # Sheds below the committed boundary are final now;
-                    # later ones re-run through the serial gate (which
-                    # sees the post-spend token balance, as the oracle
-                    # does).
-                    shed_at = np.nonzero(~mask[:committed])[0]
-                    if shed_at.size:
-                        dropped += int(shed_at.size)
-                        drop_times.extend(arr[shed_at].tolist())
-                        drop_reasons.extend([REASON_SHED] * int(shed_at.size))
-                for committed_id in np.unique(ids_adm[:cut]):
-                    observe_app(app_names[committed_id])
-                if hedge is not None:
-                    hedges_launched += int(
-                        np.count_nonzero(effective_first[:cut] > hedge)
-                    )
-                    hedge_wins += int(
-                        np.count_nonzero(
-                            alternative[:cut] < effective_first[:cut]
-                        )
-                    )
-                started = arr_adm[:cut].tolist()
-                comps = comp_opt[:cut].tolist()
-                base = len(start_comps)
-                starts_pre.extend(started)
-                start_origs.extend(started)
-                start_comps.extend(comps)
-                ids_cut = ids_adm[:cut].tolist()
-                for offset in range(cut):
-                    orig_seq = (
-                        i + offset
-                        if positions is None
-                        else i + int(positions[offset])
-                    )
-                    start_meta.append((orig_seq, 0, ids_cut[offset]))
-                    killed_flags.append(False)
-                    seq = base + offset
-                    alive.add(seq)
-                    pending.append((comps[offset], seq))
-                heapify(pending)
-                busy += cut
-                i += committed
-                chunk_size = (
-                    min(chunk_size * 2, _CHUNK_MAX)
-                    if committed == m
-                    else _CHUNK_MIN
-                )
-            else:
-                admit((i, app_ids_list[i], i, 0, t_trace), t_trace)
+            if queued or busy >= cap:
+                admit((base + i, ids_list[i], base + i, 0, t_trace), t_trace)
                 i += 1
+                continue
+            # Pass A: contention-free window, cut at the chunk end, the
+            # next fault and control event (both ranked before
+            # arrivals: equal-time arrivals excluded) and the next
+            # injected re-arrival (ranked after: equal-time included).
+            hi = min(n_chunk, i + window_size)
+            if k < n_faults:
+                hi = i + int(
+                    np.searchsorted(arrivals[i:hi], t_fault, side="left")
+                )
+            if t_control < _INF:
+                hi = i + int(
+                    np.searchsorted(arrivals[i:hi], t_control, side="left")
+                )
+            if injected:
+                hi = i + int(
+                    np.searchsorted(arrivals[i:hi], t_injected, side="right")
+                )
+            m = hi - i
+            arr = arrivals[i:hi]
+            ids = app_ids[i:hi]
+            # Arrival gate over the window.  No refill interleaves
+            # (windows are cut at control events), so the mask equals
+            # the oracle's arrival-by-arrival decisions.
+            if gating:
+                mask = state.gate_mask(ids)
+                all_admitted = bool(mask.all())
+            else:
+                mask = None
+                all_admitted = True
+            if all_admitted:
+                positions = None
+                arr_adm = arr
+                ids_adm = ids
+                n_adm = m
+            else:
+                positions = np.nonzero(mask)[0]
+                n_adm = int(positions.size)
+                arr_adm = arr[positions]
+                ids_adm = ids[positions]
+            if n_adm == 0:
+                # Every arrival in the window is shed: no capacity
+                # interaction, the whole window commits as drops.
+                drop_times.extend(arr.tolist())
+                drop_reasons.extend([REASON_SHED] * m)
+                i = hi
+                window_size = min(window_size * 2, _WINDOW_MAX)
+                continue
+            if hedge is not None:
+                draw_ids = np.repeat(ids_adm, 2)
+                values, events, snapshot = pools.peek(draw_ids)
+                first = values[0::2]
+                backup = values[1::2]
+            else:
+                draw_ids = ids_adm
+                values, events, snapshot = pools.peek(ids_adm)
+                first = values
+            mults = (
+                timeline.multipliers(arr_adm)
+                if has_slowdowns
+                else np.ones(n_adm)
+            )
+            effective_first = mults * first
+            if hedge is not None:
+                alternative = hedge + mults * backup
+                effective = np.minimum(effective_first, alternative)
+            else:
+                effective = effective_first
+            comp_opt = arr_adm + effective
+            pend_times = np.sort(
+                np.fromiter(
+                    (e[0] for e in pending),
+                    dtype=np.float64,
+                    count=len(pending),
+                )
+            )
+            dep_pend = np.searchsorted(pend_times, arr_adm, side="left")
+            dep_window = np.searchsorted(
+                np.sort(comp_opt), arr_adm, side="left"
+            )
+            n_before = busy + np.arange(n_adm) - dep_pend - dep_window
+            crossing = np.nonzero(n_before >= cap)[0]
+            cut = int(crossing[0]) if crossing.size else n_adm
+            # cut >= 1: with busy < cap the first *admitted* arrival
+            # always fits, so progress is guaranteed.
+            if cut == n_adm:
+                committed = m
+            elif positions is None:
+                committed = cut
+            else:
+                committed = int(positions[cut])
+            pools.commit(
+                draw_ids,
+                2 * cut if hedge is not None else cut,
+                events,
+                snapshot,
+                n_apps,
+            )
+            state.consume(cut)
+            if positions is not None:
+                # Sheds below the committed boundary are final now;
+                # later ones re-run through the serial gate (which sees
+                # the post-spend token balance, as the oracle does).
+                shed_at = np.nonzero(~mask[:committed])[0]
+                drop_times.extend(arr[shed_at].tolist())
+                drop_reasons.extend([REASON_SHED] * int(shed_at.size))
+            for committed_id in np.unique(ids_adm[:cut]):
+                observe_app(app_names[committed_id])
+            if hedge is not None:
+                hedges_launched += int(
+                    np.count_nonzero(effective_first[:cut] > hedge)
+                )
+                hedge_wins += int(
+                    np.count_nonzero(alternative[:cut] < effective_first[:cut])
+                )
+            starts_pre.extend(arr_adm[:cut])
+            started = arr_adm[:cut].tolist()
+            comps = comp_opt[:cut].tolist()
+            ids_cut = ids_adm[:cut].tolist()
+            origs = (
+                range(base + i, base + i + cut)
+                if positions is None
+                else (positions[:cut] + (base + i)).tolist()
+            )
+            for offset, orig_seq in enumerate(origs):
+                seq = start_counter + offset
+                flight[seq] = (
+                    comps[offset], started[offset], orig_seq, 0,
+                    ids_cut[offset],
+                )
+                pending.append((comps[offset], seq))
+            start_counter += cut
+            heapify(pending)
+            busy += cut
+            i += committed
+            window_size = (
+                min(window_size * 2, _WINDOW_MAX)
+                if committed == m
+                else _WINDOW_MIN
+            )
             continue
 
         # ---- Injected re-arrival ------------------------------------
         _, _, request = heappop(injected)
         admit(request, t_injected)
 
-    # ---- Series reconstruction --------------------------------------
-    comp_all = np.asarray(start_comps)
-    orig_all = np.asarray(start_origs)
-    meta_ids = np.fromiter(
-        (meta[2] for meta in start_meta),
-        dtype=np.int64,
-        count=len(start_meta),
+    fold()
+    sink.busy_instances = (
+        starts_pre.series()
+        + starts_post.series()
+        - completion_log.series()
+        - kills.series()
     )
-    keep = ~np.asarray(killed_flags, dtype=bool)
-    comp_kept = comp_all[keep] if len(comp_all) else comp_all
-    orig_kept = orig_all[keep] if len(orig_all) else orig_all
-    ids_kept = meta_ids[keep] if len(meta_ids) else meta_ids
-    order = np.lexsort((np.arange(len(comp_kept)), comp_kept))
-    completed_times = comp_kept[order]
-    latencies = (comp_kept - orig_kept)[order]
-    completed_ids = ids_kept[order]
+    sink.queue_depth = (
+        enqueued.series() - dequeued_pre.series() - dequeued_post.series()
+    )
+    if controlled:
+        sink.live_instances = _live_series(state, ticks)
+        sink.app_catalog = tuple(app_names)
+        sink.scale_ups = state.scale_ups
+        sink.scale_downs = state.scale_downs
+    sink.retries = retries
+    sink.timeouts = timeouts
+    sink.crash_kills = crash_kills
+    sink.hedges_launched = hedges_launched
+    sink.hedge_wins = hedge_wins
+    return sink.finalize()
 
-    ticks = sample_tick_times(trace.duration_seconds, sample_interval_seconds)
-    starts_pre_arr = np.asarray(starts_pre)
-    starts_post_arr = np.asarray(starts_post)
-    kills_arr = np.asarray(kill_times)
-    busy_series = (
-        np.searchsorted(starts_pre_arr, ticks, side="right")
-        + np.searchsorted(starts_post_arr, ticks, side="left")
-        - np.searchsorted(completed_times, ticks, side="left")
-        - np.searchsorted(kills_arr, ticks, side="right")
-    )
-    queue_depth = (
-        np.searchsorted(np.asarray(enq_times), ticks, side="right")
-        - np.searchsorted(np.asarray(deq_pre), ticks, side="right")
-        - np.searchsorted(np.asarray(deq_post), ticks, side="left")
-    )
 
-    return SimulationSeries(
-        sample_times=ticks,
-        queue_depth=queue_depth,
-        busy_instances=busy_series,
-        completed_latency_seconds=latencies,
-        completed_times=completed_times,
-        dropped_requests=dropped,
-        total_requests=n,
-        dropped_times=np.asarray(drop_times),
-        dropped_reasons=np.asarray(drop_reasons, dtype=np.int8),
-        retries=retries,
-        timeouts=timeouts,
-        crash_kills=crash_kills,
-        hedges_launched=hedges_launched,
-        hedge_wins=hedge_wins,
-        **_control_telemetry(state, ticks, completed_ids),
+def run_control_vectorized(
+    sim: "RackSimulation",
+    policy: "KeyedPolicy",
+    trace: "RequestTrace",
+    sample_interval_seconds: float,
+    timeline: FaultTimeline,
+    retry: RetryPolicy,
+    plane: ControlPlane,
+) -> "SimulationSeries":
+    """Simulate ``trace`` under ``plane``: :func:`control_kernel` over one
+    whole-trace chunk into a retaining sink.  Bit-identical to
+    :func:`run_control_event`."""
+    from repro.cluster.simulation import SeriesSink
+
+    sink = SeriesSink(trace, sample_interval_seconds)
+    return control_kernel(
+        sim, policy, trace, sink, max(len(trace), 1), timeline, retry, plane
     )

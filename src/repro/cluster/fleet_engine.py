@@ -497,11 +497,7 @@ class FleetRunner:
                     else 0
                 ),
                 wall_clock_seconds=streamed.wall_clock_seconds,
-                mean_latency_seconds=(
-                    streamed.mean_latency_seconds
-                    if streamed.completed_count
-                    else float("nan")
-                ),
+                mean_latency_seconds=streamed.mean_latency_seconds,
                 check_hash=streamed_check_hash(
                     streamed, repr(simulation._rng.bit_generator.state)
                 ),
@@ -536,11 +532,7 @@ class FleetRunner:
                 else 0
             ),
             wall_clock_seconds=series.wall_clock_seconds,
-            mean_latency_seconds=(
-                series.mean_latency_seconds
-                if len(latencies)
-                else float("nan")
-            ),
+            mean_latency_seconds=series.mean_latency_seconds,
             check_hash=check_hash,
             sketch=sketch,
             latencies=(latencies if self._keep_latencies else None),

@@ -6,30 +6,34 @@ from the execution model's latency distribution for the request's
 application, pre-sampled in bulk for speed.  Outputs the queue-depth and
 latency time series of Fig. 13 plus aggregate wall-clock statistics.
 
-Two engines produce those series:
+Two kinds of engine produce those series:
 
 - ``engine="event"`` — the reference oracle: a timestamp-ordered event
   queue firing one callback per arrival, completion, and sample tick.
-- ``engine="vectorized"`` — the numpy busy-period engine in
-  :mod:`repro.cluster.fast_engine`; for FCFS it is bit-identical to the
-  oracle (same drops, same latencies, same series, same RNG end state)
-  at a fraction of the wall-clock cost.
+- ``engine="vectorized"`` — a numpy kernel, bit-identical to the oracle
+  (same drops, same latencies, same series, same RNG end state) at a
+  fraction of the wall-clock cost: the busy-period FCFS kernel in
+  :mod:`repro.cluster.fast_engine`, or for keyed policies (SJF /
+  criticality / DAG-aware — anything driven by a
+  :class:`~repro.cluster.policy_keys.PolicyKey`) the index-priority
+  kernel in :mod:`repro.cluster.policy_engine`, which batches
+  contention-free stretches and dispatches congested ones through a
+  primitive-heap loop.
 
-The default ``engine="auto"`` picks a vectorized engine whenever the
-trace is time-ordered: FCFS runs use the busy-period engine above, and
-keyed policies (SJF / criticality / DAG-aware — anything driven by a
-:class:`~repro.cluster.policy_keys.PolicyKey`) use the index-priority
-engine in :mod:`repro.cluster.policy_engine`, which batches
-contention-free stretches and dispatches congested ones through a
-primitive-heap kernel.  Both are bit-identical to the event-driven
-oracle, which remains the fallback for unsorted traces.
+The default ``engine="auto"`` vectorizes whenever the trace is
+time-ordered; the event-driven oracle remains the fallback for unsorted
+traces.  A vectorized run is its kernel over one whole-trace chunk,
+folded into a retaining :class:`SeriesSink`; ``engine="streaming"``
+runs the same kernel over bounded chunks, folded into a
+:class:`~repro.cluster.streaming.StreamedSeries`.
 
 Runs with active faults, retries or a control plane take one
 fault-aware route: the control family, with an inert ``ControlPlane()``
 when only faults or retries are active.  ``engine="event"`` and unsorted
-traces run :func:`~repro.cluster.control_engine.run_control_event`,
-``engine="streaming"`` the control streaming port, and vectorized runs
-the control kernel (active plane) or the chaos kernel (inert plane).
+traces run :func:`~repro.cluster.control_engine.run_control_event`;
+every other run takes the control kernel, entered through
+``run_control_vectorized`` (active plane) or ``run_chaos_vectorized``
+(inert plane) when materialized.
 
 Every engine rejects a trace naming an application the simulation does
 not know, before any service draw.
@@ -333,9 +337,90 @@ class SimulationSeries:
 
     @property
     def mean_latency_seconds(self) -> float:
+        """Mean completed latency; NaN when nothing completed.
+
+        A run that completes nothing (an idle trace, or a fleet that
+        drops every request) has no latency to average — NaN, matching
+        the availability NaN-on-empty convention, rather than a
+        misleading 0.0.
+        """
         if len(self.completed_latency_seconds) == 0:
-            return 0.0
+            return float("nan")
         return float(self.completed_latency_seconds.mean())
+
+
+class SeriesSink:
+    """Telemetry sink of a materialized run: retains every fold.
+
+    The rack kernels fold into a sink once per trace chunk: completions
+    in canonical (completion time, start order), drops in event order;
+    at the end they set the tick series and run counters and call
+    :meth:`finalize`.  A materialized run is one whole-trace chunk
+    folded here, and :meth:`finalize` joins the folds into a
+    :class:`SimulationSeries`; a streamed run folds into a
+    :class:`~repro.cluster.streaming.StreamedSeries` instead.
+    """
+
+    def __init__(
+        self, trace: RequestTrace, sample_interval_seconds: float
+    ) -> None:
+        self.sample_times = sample_tick_times(
+            trace.duration_seconds, sample_interval_seconds
+        )
+        self.total_requests = len(trace)
+        self.queue_depth = self.busy_instances = _empty_int_array()
+        self.retries = self.timeouts = self.crash_kills = 0
+        self.hedges_launched = self.hedge_wins = 0
+        # Control telemetry, set only when a control plane is active.
+        self.live_instances = _empty_int_array()
+        self.app_catalog: tuple = ()
+        self.scale_ups = self.scale_downs = 0
+        self._completions: List[tuple] = []
+        self._drops: List[tuple] = []
+
+    def fold_completions(self, times, latencies, app_ids=None) -> None:
+        self._completions.append((times, latencies, app_ids))
+
+    def fold_drops(self, times, reasons) -> None:
+        """Fold a batch of drops; ``reasons`` is an array or one code."""
+        reasons = np.asarray(reasons, dtype=np.int8)
+        if reasons.ndim == 0:
+            reasons = np.full(len(times), reasons)
+        self._drops.append((times, reasons))
+
+    def finalize(self) -> SimulationSeries:
+        def joined(parts, field, empty):
+            arrays = [part[field] for part in parts]
+            return np.concatenate(arrays) if arrays else empty()
+
+        drop_times = joined(self._drops, 0, _empty_float_array)
+        return SimulationSeries(
+            sample_times=self.sample_times,
+            queue_depth=self.queue_depth,
+            busy_instances=self.busy_instances,
+            completed_latency_seconds=joined(
+                self._completions, 1, _empty_float_array
+            ),
+            completed_times=joined(self._completions, 0, _empty_float_array),
+            dropped_requests=len(drop_times),
+            total_requests=self.total_requests,
+            dropped_times=drop_times,
+            dropped_reasons=joined(self._drops, 1, _empty_reason_array),
+            retries=self.retries,
+            timeouts=self.timeouts,
+            crash_kills=self.crash_kills,
+            hedges_launched=self.hedges_launched,
+            hedge_wins=self.hedge_wins,
+            live_instances=self.live_instances,
+            completed_app_ids=(
+                joined(self._completions, 2, _empty_int_array)
+                if self.app_catalog
+                else _empty_int_array()
+            ),
+            app_catalog=self.app_catalog,
+            scale_ups=self.scale_ups,
+            scale_downs=self.scale_downs,
+        )
 
 
 class RackSimulation:
@@ -522,10 +607,11 @@ class RackSimulation:
 
         ``engine`` selects the execution strategy: ``"event"`` forces the
         event-driven oracle, ``"vectorized"`` a fast path (the FCFS
-        busy-period engine or, for keyed policies, the index-priority
-        engine — unsorted traces transparently fall back to the oracle),
-        ``"streaming"`` the constant-memory chunked engines (bounded
-        chunks of at most ``chunk_requests`` arrivals folded into a
+        busy-period kernel or, for keyed policies, the index-priority
+        kernel, over one whole-trace chunk — unsorted traces
+        transparently fall back to the oracle), ``"streaming"`` the same
+        kernels in constant memory (bounded chunks of at most
+        ``chunk_requests`` arrivals folded into a
         :class:`~repro.cluster.streaming.StreamedSeries` — bit-identical
         decisions and RNG stream, no whole-trace arrays), and ``"auto"``
         (default) vectorizes whenever it can.  ``chunk_requests`` is

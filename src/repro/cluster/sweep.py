@@ -139,15 +139,7 @@ class ScenarioResult:
 
     @property
     def mean_latency_seconds(self) -> float:
-        """Mean completed latency; NaN when the cell completed nothing.
-
-        A scenario that drops every request (tiny fleet under heavy
-        overload, or a fault schedule that kills everything) has no
-        latency to average — NaN, matching the availability
-        NaN-on-empty convention, rather than a misleading 0.0.
-        """
-        if self.completed_count == 0:
-            return float("nan")
+        """Mean completed latency; NaN when the cell completed nothing."""
         return self.series.mean_latency_seconds
 
     def latency_percentile(self, percentile: float) -> float:

@@ -16,8 +16,9 @@ the fault-injection layer of :mod:`repro.cluster.faults` switched on:
 Every cell runs through :class:`~repro.cluster.sweep.RackSweep`, so
 traces and service-sample blocks are shared across the grid and each
 cell is bit-identical to a standalone :class:`RackSimulation` run —
-the chaos kernel is oracle-checked against the control oracle with an
-inert plane (``tests/test_fault_equivalence.py``).
+fault/retry cells run the control kernel with an inert plane, which is
+oracle-checked against the control oracle with an inert plane
+(``tests/test_fault_equivalence.py``).
 """
 
 from __future__ import annotations

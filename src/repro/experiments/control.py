@@ -20,7 +20,8 @@ Two registered experiments exercise the control plane of
   asserted in ``tests/test_control_equivalence.py``.
 
 Every cell runs through :class:`~repro.cluster.sweep.RackSweep`; the
-control engines are oracle-checked the same way the chaos kernel is.
+control kernel is oracle-checked against the control oracle
+(``tests/test_control_equivalence.py``).
 """
 
 from __future__ import annotations

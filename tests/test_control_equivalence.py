@@ -1,15 +1,15 @@
 """The control engines must be bit-identical — and an inert plane free.
 
 The closed-loop layer has two execution paths: the event-driven control
-oracle and the vectorized control-epoch engine.  Everything the oracle
+oracle and the vectorized control-epoch kernel.  Everything the oracle
 produces — series (incl. live-capacity and per-completion app records),
 latencies, drop times *and reasons* (incl. ``shed``), scaling/retry/
 timeout/kill/hedge counters, RNG end state, service-pool state — must
-match the vectorized engine exactly, across scaling policies, shedding
+match the vectorized kernel exactly, across scaling policies, shedding
 configs, seeds, and fault mixes.  The same oracle run with an inert
-``ControlPlane()`` is the oracle of the chaos kernel (fault/retry runs
-without a controller): it fires no decision ticks and records no
-control telemetry.  A disabled controller must degrade to the recorded
+``ControlPlane()`` is the oracle of fault/retry runs without a
+controller, which take the same kernel with an inert plane: it fires no
+decision ticks and records no control telemetry.  A disabled controller must degrade to the recorded
 ``BENCH_rack.json`` and ``BENCH_faults.json`` check hashes bit for bit,
 and the ``fig15-overload`` study must show brownout (p99 of admitted
 criticality-0 traffic within 2x of the uncongested baseline at 4x
@@ -368,7 +368,7 @@ def test_disabled_controller_reproduces_bench_rack_hash():
 
 def test_disabled_controller_reproduces_bench_faults_hash():
     """Same, under the ``BENCH_faults.json`` chaos workload: the inert
-    plane must leave the chaos kernel's recorded hash untouched."""
+    plane must leave the fault/retry run's recorded hash untouched."""
     recorded, context, trace, platforms = _bench_workload(
         "BENCH_faults.json"
     )

@@ -109,3 +109,22 @@ class TestPolicySweep:
                 priorities=("app=not-an-int",),
                 context=context,
             )
+
+
+@pytest.mark.parametrize("engine", ("event", "vectorized", "streaming"))
+def test_run_without_completions_reports_nan_mean(engine):
+    """An idle trace completes nothing, so there is no latency to
+    average: every row reports a NaN mean beside its NaN percentiles,
+    on every engine."""
+    from repro.experiments.registry import REGISTRY, load_all
+
+    load_all()
+    result = REGISTRY.run(
+        "fig13", profile="fast", rate_scale=0.0, engine=engine
+    )
+    assert len(result.rows) == 2
+    for row in result.rows:
+        assert row["requests"] == 0
+        assert np.isnan(row["mean_latency_s"])
+        assert np.isnan(row["p95_latency_s"])
+        assert np.isnan(row["p99_latency_s"])

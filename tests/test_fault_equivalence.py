@@ -1,4 +1,4 @@
-"""The chaos kernel must match its oracle bit for bit — and inert
+"""Fault/retry runs must match their oracle bit for bit — and inert
 configs must be free.
 
 A fault/retry run is a control run whose plane does nothing, so the
@@ -7,10 +7,11 @@ fault-injection layer's oracle is the control oracle
 inert ``ControlPlane()``: ``engine="event"`` routes fault/retry runs
 there.  Everything the oracle produces — series, latencies, drop times
 *and reasons*, retry/timeout/kill/hedge counters, RNG end state,
-service-pool state — must match the materialized chaos kernel exactly,
-across seeds, fault mixes, and both policy families (FCFS and keyed).
-And a zero-fault schedule must degrade to today's fault-free engines bit
-for bit, including the recorded ``BENCH_rack.json`` check hash.
+service-pool state — must match the materialized inert-plane run of
+the control kernel (``run_chaos_vectorized``) exactly, across seeds,
+fault mixes, and both policy families (FCFS and keyed).  And a
+zero-fault schedule must degrade to today's fault-free engines bit for
+bit, including the recorded ``BENCH_rack.json`` check hash.
 """
 
 import json
@@ -232,8 +233,9 @@ def test_slowdown_only_identical(suite, models):
 def test_zero_fault_chaos_engines_reproduce_fault_free(
     suite, models, policy
 ):
-    """The chaos kernel and its oracle (the control oracle with an
-    inert plane), run on an empty timeline + inert retry policy, must
+    """The inert-plane control kernel and its oracle (the control
+    oracle with an inert plane), run on an empty timeline + inert retry
+    policy, must
     equal today's fault-free engines bit for bit."""
     from repro.cluster.chaos_engine import run_chaos_vectorized
     from repro.cluster.control_engine import run_control_event

@@ -1,17 +1,19 @@
 """The streaming engine must be bit-identical at every chunk size.
 
-The chunked execution path ports three vectorized families — FCFS,
-keyed policies and control, whose port also serves fault/retry runs
-with an inert plane — folding bounded chunks into running telemetry
-instead of materializing whole-trace arrays.  The
-contract under test:
+A rack run has three kernels — FCFS, keyed policies and control, the
+last also serving fault/retry runs with an inert plane — and each runs
+both ways: materialized, as one whole-trace chunk folded into a sink
+that keeps every request, or streamed, as bounded chunks folded into
+running telemetry at every chunk boundary.  The contract under test:
 
-- for chunk sizes smaller than a busy period, a non-divisor of the
-  trace length, and larger than the whole trace, the streamed result is
-  bit-identical to the materialized vectorized engine *and* the
-  event-driven oracle: series, drop times and reasons, availability and
-  scaling counters, quantile sketch, RNG end state, service-pool
-  cursors;
+- for chunk sizes of a single request (every arrival is a chunk
+  boundary), smaller than a busy period, a non-divisor of the trace
+  length, and larger than the whole trace, the streamed result is
+  bit-identical to the materialized run *and* the event-driven oracle:
+  series, drop times and reasons, availability and scaling counters,
+  quantile sketch, RNG end state, service-pool cursors;
+- the per-chunk fold counts tick-visible events exactly like the
+  whole-trace ``np.searchsorted`` reconstruction;
 - a generator-backed :class:`StreamedTrace` source reproduces
   ``generate()`` exactly while the engine retains only bounded
   service-pool windows (the windowed-replay path);
@@ -31,12 +33,13 @@ from repro.cluster.control import (
     ControlPlane,
     OverloadPolicy,
 )
+from repro.cluster.fast_engine import TickLog, sample_tick_times
 from repro.cluster.faults import FaultSchedule, RetryPolicy
 from repro.cluster.fleet import FleetTopology
 from repro.cluster.fleet_engine import FleetRunner
-from repro.cluster.schedulers import PolicyFactory
-from repro.cluster.simulation import RackSimulation
-from repro.cluster.streaming import StreamedSeries
+from repro.cluster.schedulers import FCFSPolicy, PolicyFactory
+from repro.cluster.simulation import RackSimulation, SeriesSink
+from repro.cluster.streaming import StreamedSeries, _dispatch_streaming
 from repro.cluster.trace import RequestTrace, TraceGenerator
 from repro.core.model import ServerlessExecutionModel
 from repro.errors import ConfigurationError
@@ -44,9 +47,11 @@ from repro.experiments.benchmarks import benchmark_suite
 from repro.experiments.common import BASELINE_NAME, build_context
 from repro.platforms.registry import baseline_cpu
 
-# Smaller than a busy period / a non-divisor of the trace / larger than
-# the whole trace: the three chunk regimes the fold must not observe.
-CHUNKS = (7, 997, 10**6)
+# One request (a fold, watermark carry and pool compaction at every
+# arrival) / smaller than a busy period / a non-divisor of the trace /
+# larger than the whole trace: the chunk regimes the fold must not
+# observe.
+CHUNKS = (1, 7, 997, 10**6)
 
 CHAOS_FAULTS = FaultSchedule(
     instance_mtbf_seconds=120.0,
@@ -219,6 +224,91 @@ def test_chunk_invariant_vs_materialized_and_oracle(family, model, suite):
             assert (
                 streamed_sim._service_cursor == ref_sim._service_cursor
             ), (family, chunk, engine)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chunked_fold_keeps_request_order(family, model, suite):
+    """Folding chunk by chunk into the materialized run's retaining sink
+    reproduces its per-request arrays exactly — completions in canonical
+    (completion, start) order, drops in event order — so no chunk
+    boundary reorders what a streamed run folds."""
+    trace = make_trace(suite, 0.05, 1)
+    reference = RackSimulation(
+        model, suite, **family_kwargs(family, model, suite)
+    ).run(trace, engine="vectorized")
+    for chunk in CHUNKS:
+        simulation = RackSimulation(
+            model, suite, **family_kwargs(family, model, suite)
+        )
+        factory = simulation._policy_factory
+        policy = factory.build() if factory is not None else FCFSPolicy()
+        chunked = _dispatch_streaming(
+            simulation, policy, trace, SeriesSink(trace, 1.0), chunk
+        )
+        assert chunked.identical_to(reference), (family, chunk)
+        assert np.array_equal(
+            chunked.completed_app_ids, reference.completed_app_ids
+        ), (family, chunk)
+
+
+# ----------------------------------------------------------------------
+# The per-chunk tick fold.
+
+
+def tick_events():
+    """Ascending events before, at, between and after ten unit ticks."""
+    ticks = sample_tick_times(10.0, 1.0)
+    between = np.random.default_rng(3).uniform(0.0, 12.0, 40)
+    return ticks, np.sort(
+        np.concatenate([[0.0, 0.5], ticks, ticks[:4], between, [11.5]])
+    )
+
+
+@pytest.mark.parametrize("inclusive", (True, False))
+def test_tick_log_matches_searchsorted_reconstruction(inclusive):
+    """Scalars and ascending parts, counted over several flushes (one
+    of them empty), give each tick exactly the count a searchsorted
+    over the whole log gives it: equal-time events are seen when
+    inclusive and not otherwise."""
+    ticks, events = tick_events()
+    log = TickLog(ticks, inclusive)
+    log.count()  # nothing logged yet
+    pieces = np.split(events, [2, 3, 9, 10, 30, 31, 50])
+    for k, piece in enumerate(pieces):
+        if k % 2:
+            for t in piece.tolist():
+                log.append(t)
+        else:
+            log.extend(piece)
+        if k % 3 == 1:
+            log.count()
+    log.count()
+    side = "right" if inclusive else "left"
+    assert np.array_equal(
+        log.series(), np.searchsorted(events, ticks, side=side)
+    )
+
+
+@pytest.mark.parametrize("inclusive", (True, False))
+def test_tick_log_flush_granularity_is_invisible(inclusive):
+    """Counting after every event, or once at the end, gives the same
+    series; with no ticks the series is empty."""
+    ticks, events = tick_events()
+    per_event = TickLog(ticks, inclusive)
+    at_end = TickLog(ticks, inclusive)
+    for t in events.tolist():
+        per_event.append(t)
+        per_event.count()
+        at_end.append(t)
+    at_end.count()
+    side = "right" if inclusive else "left"
+    expected = np.searchsorted(events, ticks, side=side)
+    assert np.array_equal(per_event.series(), expected)
+    assert np.array_equal(at_end.series(), expected)
+    no_ticks = TickLog(np.empty(0), inclusive)
+    no_ticks.extend(events)
+    no_ticks.count()
+    assert len(no_ticks.series()) == 0
 
 
 # ----------------------------------------------------------------------
