@@ -21,11 +21,16 @@ Sync                  ``D' = C' = max(D, C)``
 ====================  =======================================
 
 Max-plus matrix products are associative, so the final clock pair is the
-ordered product of per-instruction 2x2 matrices — computed here with a
-vectorized pairwise tree reduction (O(n) work, O(log n) numpy passes, no
-per-instruction Python).  Costs are integers well below 2**53, so float64
-max/add arithmetic is exact and the result is bit-identical to the scalar
-interpreter.
+ordered product of per-instruction 2x2 matrices.  Only stores and syncs
+let the DMA clock read the compute clock, so the product is not formed per
+instruction: the stores and syncs cut the stream into stretches, each
+stretch's product has a closed form in prefix sums of the cycle columns
+(see :func:`interleave_cycles`), and only the ``#stores + #syncs + 1``
+stretch matrices go through a vectorized pairwise tree reduction: O(n)
+work in a fixed number of whole-column numpy passes plus O(log k) passes
+over the k stretches, with no per-instruction Python.  Costs are integers
+well below 2**53, so float64 max/add arithmetic is exact and the result is
+bit-identical to the scalar interpreter.
 """
 
 from __future__ import annotations
@@ -63,11 +68,13 @@ _NEG = -np.inf
 class PackedProgram:
     """A :class:`Program` lowered to design-point-independent numpy columns.
 
-    Columns hold one row per instruction (Halt excluded).  Everything that
-    depends on the design point — DMA cycles, systolic pass cycles, SIMD
-    pass cycles — is derived per config by :func:`instruction_cycles`, so a
-    single packing is reusable across every config that shares the tiling
-    (the cross-sweep program cache exploits exactly that).
+    Columns hold one row per instruction (Halt excluded); the per-opcode
+    columns (DMA bytes, tile dims, element counts) are zero on the rows of
+    other opcodes.  Everything that depends on the design point — DMA
+    cycles, systolic pass cycles, SIMD pass cycles — is derived per config
+    by :func:`cycle_prefix_sums`, so a single packing is reusable across
+    every config that shares the tiling (the cross-sweep program cache
+    exploits exactly that).
     """
 
     model_name: str
@@ -213,25 +220,27 @@ def pack_program(program: Program) -> PackedProgram:
     )
 
 
-def instruction_cycles(
+def cycle_prefix_sums(
     packed: PackedProgram, config: DSAConfig
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-instruction ``(dma_cycles, compute_cycles)`` for ``config``.
+    """Exclusive prefix sums ``(dma_before, compute_before)`` of the
+    per-instruction cycles for ``config``.
 
-    Replicates the scalar models exactly: ``ceil(bytes / bytes_per_cycle)``
-    for DMA (same float64 division/ceil as ``math.ceil`` on floats),
-    ``k + m + pe_rows + pe_cols`` for a systolic pass, and
-    ``overhead + ceil(element_ops / lanes)`` for a SIMD pass.
+    ``dma_before[i]`` is the DMA cycles of rows ``< i``; both arrays have
+    ``len(packed) + 1`` entries, so the last one is the busy total.  The
+    per-instruction costs replicate the scalar models exactly:
+    ``ceil(bytes / bytes_per_cycle)`` for DMA (same float64 division/ceil
+    as ``math.ceil`` on floats), ``k + m + pe_rows + pe_cols`` for a
+    systolic pass, and ``overhead + ceil(element_ops / lanes)`` for a SIMD
+    pass.  A column is zero on the rows of the other opcodes, so the costs
+    come from whole-column arithmetic; the sums stay integers below 2**53,
+    where float64 addition is exact.
     """
     bytes_per_cycle = config.memory.bytes_per_cycle(config.frequency_hz)
     if bytes_per_cycle <= 0:
         raise SimulationError("memory bandwidth yields zero bytes/cycle")
 
-    is_dma = (packed.opcodes == OP_LOAD) | (packed.opcodes == OP_STORE)
-    is_gemm = packed.opcodes == OP_GEMM
-    is_vop = packed.opcodes == OP_VOP
-
-    bad = is_gemm & (
+    bad = (packed.opcodes == OP_GEMM) & (
         (packed.gemm_k > config.pe_rows) | (packed.gemm_n > config.pe_cols)
     )
     if bad.any():
@@ -241,18 +250,28 @@ def instruction_cycles(
             f"exceeds array {config.pe_rows}x{config.pe_cols}"
         )
 
-    dma = np.zeros(len(packed), dtype=np.int64)
-    dma[is_dma] = np.ceil(
-        packed.num_bytes[is_dma].astype(np.float64) / bytes_per_cycle
-    ).astype(np.int64)
+    n = len(packed)
+    # Each column is built in place behind a leading zero, then summed.
+    dma_before = np.zeros(n + 1)
+    dma = dma_before[1:]
+    np.divide(packed.num_bytes, bytes_per_cycle, out=dma)
+    np.ceil(dma, out=dma)
+    np.cumsum(dma, out=dma)
 
-    compute = np.zeros(len(packed), dtype=np.int64)
-    drain = config.pe_rows + config.pe_cols
-    compute[is_gemm] = packed.gemm_k[is_gemm] + packed.gemm_m[is_gemm] + drain
-    compute[is_vop] = PASS_OVERHEAD_CYCLES + np.ceil(
-        packed.element_ops[is_vop].astype(np.float64) / config.lanes
-    ).astype(np.int64)
-    return dma, compute
+    # Fixed cycles per opcode: a systolic pass fills and drains the array,
+    # a SIMD pass pays its issue overhead.
+    fixed = np.zeros(OP_SYNC + 1)
+    fixed[OP_GEMM] = config.pe_rows + config.pe_cols
+    fixed[OP_VOP] = PASS_OVERHEAD_CYCLES
+    compute_before = np.zeros(n + 1)
+    compute = compute_before[1:]
+    np.divide(packed.element_ops, config.lanes, out=compute)
+    np.ceil(compute, out=compute)
+    compute += packed.gemm_k
+    compute += packed.gemm_m
+    compute += fixed.take(packed.opcodes)
+    np.cumsum(compute, out=compute)
+    return dma_before, compute_before
 
 
 def _maxplus_product(
@@ -270,35 +289,64 @@ def _maxplus_product(
 
 
 def interleave_cycles(
-    packed: PackedProgram, dma_cycles: np.ndarray, compute_cycles: np.ndarray
+    packed: PackedProgram, dma_before: np.ndarray, compute_before: np.ndarray
 ) -> Tuple[int, int]:
     """Final ``(dma_done, compute_done)`` clocks of the interleaved stream.
 
-    Builds one max-plus matrix per instruction and reduces them with a
-    pairwise tree (padding odd levels with the max-plus identity), which
-    keeps the arithmetic identical to folding the scalar recurrence.
+    Takes the exclusive cycle prefix sums of :func:`cycle_prefix_sums`.
+    Stores and syncs cut the stream into *stretches* of loads and
+    computes.  Inside a stretch starting from ``(D, C)`` the loads only add
+    to ``D`` and the computes only add to ``C``; a coupled compute (gemm
+    or unfused vector op) at row ``j`` first lifts ``C`` to the DMA clock,
+    which by then is ``D + L_j`` with ``L_j`` the stretch's load cycles
+    before ``j``.  Multiplying the stretch's per-instruction matrices out
+    therefore gives, with no approximation, the single matrix
+
+    ``[[L, -inf], [max over coupled j of (L_j + C_j), C]]``
+
+    where ``L``/``C`` are the stretch's load/compute totals and ``C_j`` its
+    compute cycles from ``j`` on.  ``L_j + C_j`` is a difference of prefix
+    sums, so one segmented max yields every stretch's lower-left entry
+    (``-inf`` when a stretch has no coupled compute).  Each stretch is
+    folded elementwise with the store or sync that ends it, and the
+    ``#stores + #syncs + 1`` matrices are reduced with a pairwise tree
+    (padding odd levels with the max-plus identity).
     """
     n = len(packed)
     if n == 0:
         return 0, 0
 
-    d = dma_cycles.astype(np.float64)
-    c = compute_cycles.astype(np.float64)
-    is_load = packed.opcodes == OP_LOAD
-    is_store = packed.opcodes == OP_STORE
-    is_sync = packed.opcodes == OP_SYNC
-    is_compute = (packed.opcodes == OP_GEMM) | (packed.opcodes == OP_VOP)
-    is_coupled = is_compute & ~packed.fused
+    opcodes = packed.opcodes
+    events = np.flatnonzero((opcodes == OP_STORE) | (opcodes == OP_SYNC))
+    starts = np.append(0, events + 1)  # first row of each stretch
+    ends = np.append(events, n)  # one past its last row
+    dma_start, dma_end = dma_before[starts], dma_before[ends]
+    compute_end = compute_before[ends]
+    loads = dma_end - dma_start
+    computes = compute_end - compute_before[starts]
 
-    # Matrix entries: new_state[i] = max_j(m[i][j] + old_state[j]) with
-    # state = (D, C).  Fused vector ops never read the DMA clock, so their
-    # m10 stays -inf; loads/stores leave the compute clock untouched.
-    m00 = np.where(is_load | is_store, d, 0.0)
-    m01 = np.where(is_store, d, np.where(is_sync, 0.0, _NEG))
-    m10 = np.where(is_coupled, c, np.where(is_sync, 0.0, _NEG))
-    m11 = np.where(is_compute, c, 0.0)
+    # For a coupled row j of a stretch [a, b):
+    # L_j + C_j = (dma_before[j] - compute_before[j])
+    #             - dma_before[a] + compute_before[b]
+    coupled = (opcodes == OP_GEMM) | ((opcodes == OP_VOP) & ~packed.fused)
+    lead = np.where(coupled, dma_before[:-1] - compute_before[:-1], _NEG)
+    # Reduceat segment s is stretch s plus the event before it, which is
+    # never coupled; when the stream opens with an event, segment 0 is
+    # that event alone and the empty first stretch gets -inf.
+    lead_max = np.maximum.reduceat(lead, np.append(0, events))
+    waits = lead_max - dma_start + compute_end
 
-    mats = (m00, m01, m10, m11)
+    # Fold each stretch with the event that ends it (the last stretch has
+    # none): a store D' = max(D, C) + d keeps C, a sync D' = C' = max(D, C).
+    event_dma = dma_start[1:] - dma_end[:-1]
+    drained = np.maximum(loads[:-1], waits[:-1])
+    is_sync = opcodes[events] == OP_SYNC
+    mats = (
+        np.append(event_dma + drained, loads[-1]),
+        np.append(event_dma + computes[:-1], _NEG),
+        np.append(np.where(is_sync, drained, waits[:-1]), waits[-1]),
+        computes,
+    )
     while mats[0].shape[0] > 1:
         count = mats[0].shape[0]
         if count % 2:
@@ -323,21 +371,25 @@ def interleave_cycles(
 
 
 def per_op_cycles(
-    packed: PackedProgram, compute_cycles: np.ndarray
+    packed: PackedProgram, compute_before: np.ndarray
 ) -> Dict[str, int]:
     """Per-op charged cycles, in first-charge order like the scalar dict.
 
+    Takes the exclusive compute prefix sums of :func:`cycle_prefix_sums`.
     Loads and stores charge zero cycles (they still surface their op in the
     breakdown); gemm and vector instructions charge their compute cost.
+    Rows of one op come in runs, and a run charges the prefix difference
+    across it; syncs (op id -1) land in a dropped bin.
     """
     if not packed.op_names:
         return {}
-    charged = packed.op_ids >= 0
-    is_compute = (packed.opcodes == OP_GEMM) | (packed.opcodes == OP_VOP)
-    weights = np.where(is_compute, compute_cycles, 0)[charged]
+    op_ids = packed.op_ids
+    cuts = np.flatnonzero(op_ids[1:] != op_ids[:-1]) + 1
+    run_starts = np.append(0, cuts)
+    run_ends = np.append(cuts, len(op_ids))
     totals = np.bincount(
-        packed.op_ids[charged],
-        weights=weights.astype(np.float64),
-        minlength=len(packed.op_names),
+        op_ids[run_starts] + 1,
+        weights=compute_before[run_ends] - compute_before[run_starts],
+        minlength=len(packed.op_names) + 1,
     )
-    return {name: int(totals[i]) for i, name in enumerate(packed.op_names)}
+    return {name: int(totals[i + 1]) for i, name in enumerate(packed.op_names)}

@@ -33,7 +33,7 @@ from repro.accelerator.isa import (
 )
 from repro.accelerator.packed import (
     PackedProgram,
-    instruction_cycles,
+    cycle_prefix_sums,
     interleave_cycles,
     pack_program,
     per_op_cycles,
@@ -204,20 +204,20 @@ class CycleSimulator:
             if isinstance(program, PackedProgram)
             else pack_program(program)
         )
-        dma_cycles, compute_cycles = instruction_cycles(packed, self._config)
+        dma_before, compute_before = cycle_prefix_sums(packed, self._config)
         dma_done, compute_done = interleave_cycles(
-            packed, dma_cycles, compute_cycles
+            packed, dma_before, compute_before
         )
         return self._build_report(
             model_name=packed.model_name,
             total_cycles=max(dma_done, compute_done),
-            compute_busy=int(compute_cycles.sum()),
-            dma_busy=int(dma_cycles.sum()),
+            compute_busy=int(compute_before[-1]),
+            dma_busy=int(dma_before[-1]),
             total_macs=packed.total_macs,
             total_vector_ops=packed.total_element_ops,
             dram_bytes=packed.dram_bytes,
             sram_bytes=packed.total_sram_bytes,
-            per_op=per_op_cycles(packed, compute_cycles),
+            per_op=per_op_cycles(packed, compute_before),
         )
 
     def _build_report(

@@ -62,13 +62,17 @@ def sweep_study(
     """The shared Fig. 7/8 sweep: evaluate candidates, extract a frontier.
 
     ``max_configs`` > 0 truncates the candidate list — the ``fast``
-    fidelity profile's knob for smoke runs.
+    fidelity profile's knob for smoke runs; 0 means no limit.
     """
     from repro.errors import ConfigurationError
 
     if space not in ("square", "full"):
         raise ConfigurationError(
             f"unknown design space {space!r}; expected 'square' or 'full'"
+        )
+    if max_configs < 0:
+        raise ConfigurationError(
+            f"max_configs must be >= 0 (0 = no limit), got {max_configs}"
         )
     explorer = explorer or DSEExplorer()
     candidates = (

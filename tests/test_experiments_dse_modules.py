@@ -5,8 +5,10 @@ import pytest
 from repro.accelerator.config import DSAConfig
 from repro.core.breakdown import Component
 from repro.dse.explorer import DSEExplorer
+from repro.errors import ConfigurationError
 from repro.experiments import fig07, fig08, fig10
 from repro.experiments.common import BASELINE_NAME, DSCS_NAME, build_context
+from repro.experiments.registry import REGISTRY
 from repro.models.zoo import logistic_regression, mlp
 from repro.units import MB
 
@@ -61,6 +63,20 @@ class TestFig08Module:
         a = fig07.run(configs=tiny_configs, explorer=tiny_explorer)
         b = fig08.run(configs=tiny_configs, explorer=tiny_explorer)
         assert {r.label for r in a.results} == {r.label for r in b.results}
+
+
+@pytest.mark.parametrize("name", ["fig07", "fig08", "dse"])
+def test_negative_max_configs_rejected_before_evaluation(
+    name, tiny_explorer, tiny_configs, monkeypatch
+):
+    def evaluate(self, config):
+        raise AssertionError(f"evaluated {config.label}")
+
+    monkeypatch.setattr(DSEExplorer, "evaluate", evaluate)
+    with pytest.raises(ConfigurationError, match="max_configs"):
+        REGISTRY.run(
+            name, max_configs=-1, configs=tiny_configs, explorer=tiny_explorer
+        )
 
 
 class TestFig10Module:

@@ -149,8 +149,79 @@ def _random_program(rng: np.random.Generator, config: DSAConfig) -> Program:
     return Program("randomized", instructions)
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_randomized_stream_equivalence(seed):
+def _event(rng: np.random.Generator, name: str):
+    if rng.integers(0, 2):
+        return Sync("barrier")
+    num_bytes = int(rng.choice([0, 16, 10_000, 2_000_000]))
+    return StoreTile(name, num_bytes=num_bytes)
+
+
+def _stretch(
+    rng: np.random.Generator, config: DSAConfig, name: str, coupled: bool
+) -> list:
+    """Loads, gemms and vector ops with no store or sync among them.
+
+    Without ``coupled`` it holds only loads and fused vector ops, so no
+    compute reads the DMA clock.  The load sizes are capped per stretch,
+    so some stretches are DMA-bound and others compute-bound.
+    """
+    length = int(rng.integers(300, 1500))
+    weights = [0.5, 0.3, 0.05, 0.15] if coupled else [0.6, 0, 0, 0.4]
+    kinds = rng.choice(4, size=length, p=weights)
+    load_sizes = [0, 37, 4096, 65_536, 1_000_000][: int(rng.integers(2, 6))]
+    instructions = []
+    for kind in kinds:
+        if kind == 0:
+            num_bytes = int(rng.choice(load_sizes))
+            instructions.append(LoadTile(name, num_bytes=num_bytes))
+        elif kind == 1:
+            m = int(rng.choice([1, 64, 500]))
+            n = int(rng.integers(1, config.pe_cols + 1))
+            k = int(rng.integers(1, config.pe_rows + 1))
+            instructions.append(GemmTile(name, m=m, n=n, k=k))
+        else:
+            elements = int(rng.choice([0, 100, 65_536]))
+            instructions.append(
+                VectorOp(name, elements=elements, fused=kind == 3)
+            )
+    return instructions
+
+
+def _long_stretch_program(
+    rng: np.random.Generator, config: DSAConfig
+) -> Program:
+    """A DSE-shaped stream: thousands of loads and computes, rare events.
+
+    Compiled sweep programs have at most ~0.15 stores or syncs per row.
+    Every draw has leading, trailing and back-to-back events and one
+    stretch with no coupled compute.
+    """
+    stretches = int(rng.integers(3, 6))
+    uncoupled = int(rng.integers(0, stretches))
+    paired = int(rng.integers(0, stretches + 1))
+    instructions = []
+    for index in range(stretches + 1):
+        name = f"op{index}"
+        # Event runs of one to three: the first leads, the last trails.
+        events = int(rng.integers(2 if index == paired else 1, 4))
+        instructions.extend(_event(rng, name) for _ in range(events))
+        if index < stretches:
+            instructions.extend(
+                _stretch(rng, config, name, coupled=index != uncoupled)
+            )
+    instructions.append(Halt("end"))
+    return Program("long_stretches", instructions)
+
+
+@pytest.mark.parametrize(
+    "draw, seed",
+    [pytest.param(_random_program, seed, id=str(seed)) for seed in range(25)]
+    + [
+        pytest.param(_long_stretch_program, seed, id=f"long-stretch-{seed}")
+        for seed in range(12)
+    ],
+)
+def test_randomized_stream_equivalence(draw, seed):
     rng = np.random.default_rng(seed)
     config = DSAConfig(
         pe_rows=int(rng.choice([8, 32, 128])),
@@ -158,7 +229,7 @@ def test_randomized_stream_equivalence(seed):
         buffer_bytes=int(rng.choice([64 * KB, 4 * MB])),
         memory=rng.choice([DDR4, DDR5, HBM2]),
     )
-    program = _random_program(rng, config)
+    program = draw(rng, config)
     simulator = CycleSimulator(config)
     assert_reports_identical(
         simulator.run(program), simulator.run_packed(program)
