@@ -35,9 +35,7 @@ def _timed_sweep(explorer, configs):
 
 def test_packed_sweep_beats_scalar(benchmark):
     configs = _bench_configs()
-    scalar_explorer = DSEExplorer(
-        eval_models=_eval_models(), engine="scalar", cache_programs=False
-    )
+    scalar_explorer = DSEExplorer(eval_models=_eval_models(), engine="scalar")
     fast_explorer = DSEExplorer(eval_models=_eval_models())
 
     scalar_results, scalar_s = _timed_sweep(scalar_explorer, configs)

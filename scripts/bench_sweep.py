@@ -82,7 +82,7 @@ def main(argv=None) -> int:
 
     oracle = None
     if not args.skip_scalar:
-        scalar_explorer = DSEExplorer(engine="scalar", cache_programs=False)
+        scalar_explorer = DSEExplorer(engine="scalar")
         scalar_results, scalar_s = timed(
             lambda: scalar_explorer.sweep(configs)
         )

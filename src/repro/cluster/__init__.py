@@ -52,6 +52,8 @@ fan-out, so the sharded :class:`~repro.cluster.fleet_engine.FleetRunner`
 (process-pool) stitches bit-identically to a serial oracle — per-rack
 check hashes plus a merged fleet hash — and fleet tail latency comes
 from mergeable :class:`~repro.sim.stats.QuantileSketch` accumulators.
+Every rack run — sweep cell, fig13 platform or fleet shard — goes
+through :meth:`~repro.cluster.sweep.RackSweep.simulate`.
 """
 
 from repro.cluster.control import (

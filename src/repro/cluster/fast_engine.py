@@ -157,10 +157,7 @@ class _ServicePools:
         would perform the draws; ``snapshot`` restores RNG and pool state
         if the caller commits only a prefix of the window.
         """
-        from repro.cluster.simulation import (
-            _POOL_BLOCK_MAX,
-            _PRESAMPLE_COUNT,
-        )
+        from repro.cluster.simulation import pool_draw_size
 
         sim = self._sim
         values = np.empty(len(app_ids))
@@ -173,10 +170,7 @@ class _ServicePools:
             cursor = sim._service_cursor.get(name, 0)
             length = self._pool_len(name)
             while length < cursor + len(pos):
-                if length > 0:
-                    size = min(length, _POOL_BLOCK_MAX)
-                else:
-                    size = _PRESAMPLE_COUNT
+                size = pool_draw_size(length)
                 events.append((int(pos[length - cursor]), app_id, size))
                 length += size
         snapshot = None

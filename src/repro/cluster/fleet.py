@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.cluster.control import ControlPlane
 from repro.cluster.faults import FaultSchedule, RetryPolicy, _splitmix64
-from repro.cluster.sweep import POLICY_NAMES
+from repro.cluster.sweep import check_rack_knobs
 from repro.cluster.trace import RequestTrace
 from repro.errors import ConfigurationError
 
@@ -87,19 +87,7 @@ class RackSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("rack needs a non-empty name")
-        if self.max_instances <= 0:
-            raise ConfigurationError(
-                f"non-positive instances: {self.max_instances}"
-            )
-        if self.queue_depth <= 0:
-            raise ConfigurationError(
-                f"non-positive queue depth: {self.queue_depth}"
-            )
-        if self.policy not in POLICY_NAMES:
-            raise ConfigurationError(
-                f"unknown scheduling policy {self.policy!r}; expected one "
-                f"of {POLICY_NAMES}"
-            )
+        check_rack_knobs(self.max_instances, self.queue_depth, self.policy)
         if not (np.isfinite(self.weight) and self.weight > 0):
             raise ConfigurationError(f"non-positive rack weight: {self.weight}")
 

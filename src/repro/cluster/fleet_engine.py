@@ -5,22 +5,28 @@ over one fleet-level trace: the
 :class:`~repro.cluster.fleet.GlobalLoadBalancer` splits the trace into
 per-rack shards *before* fan-out, then each rack simulates its shard on
 its own splitmix64-derived seed — serially (``workers=1``, the oracle
-stitch) or across a ``ProcessPoolExecutor`` (``workers=N``, reusing the
-lean-copy worker pattern of :class:`~repro.dse.explorer.DSEExplorer`).
-Because every shard is a pure function of ``(trace, topology, balancer)``
-and the pool preserves input order, the sharded run is **bit-identical**
-to the serial stitch: same per-rack check hashes, same merged fleet
-hash (``tests/test_fleet.py``).
+stitch) or across a ``ProcessPoolExecutor`` (``workers=N``).  A rack is
+a :class:`~repro.cluster.sweep.RackScenario` carrying that seed, run by
+:meth:`~repro.cluster.sweep.RackSweep.simulate` — the same path every
+sweep cell takes.  Because every shard is a pure function of ``(trace,
+topology, balancer)`` and the pool preserves input order, the sharded
+run is **bit-identical** to the serial stitch: same per-rack check
+hashes, same merged fleet hash (``tests/test_fleet.py``).
 
 Workers do not ship latency vectors back.  Each shard returns a compact
 :class:`RackShardResult`: scalar telemetry, a sha256 check hash of the
-full series (computed in-worker by :func:`series_check_hash`, the
-:func:`series_digest` projection plus the RNG end state), and a
-mergeable constant-memory
-:class:`~repro.sim.stats.QuantileSketch` of completed latencies.  Fleet
-p50/p95/p99 come from merging those O(1)-size accumulators; pass
-``keep_latencies=True`` (test/cross-check scale only) to also keep the
-exact vectors for the sketch-vs-exact comparison.
+full series plus the rack's RNG end state (:func:`series_check_hash`
+over a materialized series, :func:`streamed_check_hash` over a
+streamed one), and a mergeable constant-memory
+:class:`~repro.sim.stats.QuantileSketch` of completed latencies (the
+streamed series' own sketch, or one built from the materialized
+latencies).  Fleet p50/p95/p99 come from merging those O(1)-size
+accumulators; pass ``keep_latencies=True`` (test/cross-check scale
+only, materialized engines) to also keep the exact vectors for the
+sketch-vs-exact comparison.
+
+The module also holds the one result contract every check hash uses:
+:func:`digest`, :func:`series_digest` and :func:`series_check_hash`.
 """
 
 from __future__ import annotations
@@ -28,26 +34,16 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.fleet import FleetTopology, GlobalLoadBalancer, RackSpec
-from repro.cluster.simulation import RackSimulation, SimulationSeries
-from repro.cluster.sweep import (
-    default_criticality_priorities,
-    service_estimates_for,
-)
-from repro.cluster.schedulers import PolicyFactory
+from repro.cluster.fleet import FleetTopology, GlobalLoadBalancer
+from repro.cluster.simulation import SimulationSeries
+from repro.cluster.sweep import RackScenario, RackSweep
 from repro.cluster.trace import RequestTrace
 from repro.errors import ConfigurationError
 from repro.sim.stats import QuantileSketch
-
-# Default sketch geometry: microseconds to ~a day, 64 bins/decade
-# (<= 3.7% relative error on tail percentiles — see QuantileSketch).
-SKETCH_LO_SECONDS = 1e-6
-SKETCH_HI_SECONDS = 1e5
-SKETCH_BINS_PER_DECADE = 64
 
 
 def digest(*parts) -> str:
@@ -168,9 +164,9 @@ class _RackTask:
     """One shard of work: everything a worker needs, nothing more."""
 
     index: int
-    spec: RackSpec
+    name: str
+    scenario: RackScenario
     shard: RequestTrace
-    seed: int
 
 
 @dataclass
@@ -356,7 +352,12 @@ class FleetResult:
 
 
 class FleetRunner:
-    """Runs fleet topologies over shared suite contexts, sharded or serial."""
+    """Runs fleet topologies over shared suite contexts, sharded or serial.
+
+    Every rack shard runs through one :class:`~repro.cluster.sweep.RackSweep`
+    (without a service-sample cache: no two racks share a seed), so a
+    fleet rack and a sweep cell are the same run.
+    """
 
     def __init__(
         self,
@@ -365,78 +366,31 @@ class FleetRunner:
         sample_interval_seconds: float = 1.0,
         engine: str = "auto",
         keep_latencies: bool = False,
-        sketch_lo: float = SKETCH_LO_SECONDS,
-        sketch_hi: float = SKETCH_HI_SECONDS,
-        sketch_bins_per_decade: int = SKETCH_BINS_PER_DECADE,
         priorities: Optional[Dict[str, int]] = None,
         chunk_requests: Optional[int] = None,
     ) -> None:
-        if chunk_requests is not None and engine != "streaming":
+        self._sweep = RackSweep(
+            context,
+            sample_interval_seconds=sample_interval_seconds,
+            engine=engine,
+            reuse_service_samples=False,
+            priorities=priorities,
+            chunk_requests=chunk_requests,
+        )
+        self._streaming = engine == "streaming"
+        if self._streaming and keep_latencies:
             raise ConfigurationError(
-                "chunk_requests only applies to engine='streaming'; "
-                f"got engine={engine!r}"
+                "keep_latencies requires materialized latency "
+                "vectors, which engine='streaming' never builds; "
+                "use a materialized engine for cross-check runs"
             )
-        if engine == "streaming":
-            if keep_latencies:
-                raise ConfigurationError(
-                    "keep_latencies requires materialized latency "
-                    "vectors, which engine='streaming' never builds; "
-                    "use a materialized engine for cross-check runs"
-                )
-            if (
-                float(sketch_lo),
-                float(sketch_hi),
-                int(sketch_bins_per_decade),
-            ) != (
-                SKETCH_LO_SECONDS,
-                SKETCH_HI_SECONDS,
-                SKETCH_BINS_PER_DECADE,
-            ):
-                raise ConfigurationError(
-                    "engine='streaming' folds latencies into the "
-                    "default sketch geometry inside the engine; custom "
-                    "sketch bounds require a materialized engine"
-                )
         self._context = context
         self._balancer = balancer or GlobalLoadBalancer()
-        self._sample_interval = sample_interval_seconds
-        self._engine = engine
         self._keep_latencies = keep_latencies
-        self._chunk_requests = chunk_requests
-        self._sketch_config = (
-            float(sketch_lo),
-            float(sketch_hi),
-            int(sketch_bins_per_decade),
-        )
-        self._priorities = dict(priorities) if priorities else None
-        # Per-platform SJF estimate tables, computed once in the parent
-        # before fan-out so every worker ships the identical table.
-        self._estimates: Dict[str, Dict[str, float]] = {}
 
     @property
     def balancer(self) -> GlobalLoadBalancer:
         return self._balancer
-
-    def _new_sketch(self) -> QuantileSketch:
-        lo, hi, bins = self._sketch_config
-        return QuantileSketch(lo, hi, bins_per_decade=bins)
-
-    def _policy_factory(self, spec: RackSpec) -> Optional[PolicyFactory]:
-        """Per-rack policy, mirroring :class:`~repro.cluster.sweep.RackSweep`."""
-        if spec.policy == "fcfs":
-            return None
-        if spec.policy == "sjf":
-            return PolicyFactory(
-                "sjf", service_estimates=self._estimates[spec.platform]
-            )
-        if spec.policy == "criticality":
-            priorities = self._priorities or default_criticality_priorities(
-                self._context
-            )
-            return PolicyFactory("criticality", priorities=priorities)
-        return PolicyFactory(
-            "dag", applications=self._context.applications
-        )
 
     def _prepare(self, topology: FleetTopology) -> None:
         """Validate platforms and pre-compute worker-shared tables."""
@@ -447,78 +401,30 @@ class FleetRunner:
                     f"{spec.platform!r}; context has "
                     f"{list(self._context.models)}"
                 )
-            if (
-                spec.policy == "sjf"
-                and spec.platform not in self._estimates
-            ):
-                self._estimates[spec.platform] = service_estimates_for(
-                    self._context, spec.platform
-                )
+            if spec.policy == "sjf":
+                # Warm the sweep's memo in the parent, before fan-out,
+                # so every worker ships the identical estimate table.
+                self._sweep._service_estimates(spec.platform)
 
     # ----------------------------------------------------------- workers
     def _run_shard(self, task: _RackTask) -> RackShardResult:
         """Simulate one rack's shard; runs in-process or in a worker."""
-        spec = task.spec
-        simulation = RackSimulation(
-            self._context.models[spec.platform],
-            self._context.applications,
-            max_instances=spec.max_instances,
-            queue_depth=spec.queue_depth,
-            seed=task.seed,
-            policy=self._policy_factory(spec),
-            faults=spec.faults,
-            retry=spec.retry,
-            control=spec.control,
-        )
-        if self._engine == "streaming":
-            streamed = simulation.run(
-                task.shard,
-                self._sample_interval,
-                engine="streaming",
-                chunk_requests=self._chunk_requests,
-            )
-            return RackShardResult(
-                index=task.index,
-                name=spec.name,
-                platform=spec.platform,
-                seed=task.seed,
-                requests=streamed.total_requests,
-                completed=streamed.completed_count,
-                dropped=streamed.dropped_requests,
-                drop_breakdown=streamed.drop_breakdown(),
-                retries=streamed.retries,
-                timeouts=streamed.timeouts,
-                crash_kills=streamed.crash_kills,
-                scale_ups=streamed.scale_ups,
-                scale_downs=streamed.scale_downs,
-                peak_queue=(
-                    int(streamed.queue_depth.max())
-                    if len(streamed.queue_depth)
-                    else 0
-                ),
-                wall_clock_seconds=streamed.wall_clock_seconds,
-                mean_latency_seconds=streamed.mean_latency_seconds,
-                check_hash=streamed_check_hash(
-                    streamed, repr(simulation._rng.bit_generator.state)
-                ),
-                sketch=streamed.sketch,
-                latencies=None,
-            )
-        series = simulation.run(
-            task.shard, self._sample_interval, engine=self._engine
-        )
-        check_hash = series_check_hash(
-            series, repr(simulation._rng.bit_generator.state)
-        )
-        latencies = series.completed_latency_seconds
-        sketch = self._new_sketch().add(latencies)
+        scenario = task.scenario
+        simulation, series = self._sweep.simulate(scenario, task.shard)
+        rng_state = repr(simulation._rng.bit_generator.state)
+        if self._streaming:
+            check_hash = streamed_check_hash(series, rng_state)
+            sketch = series.sketch
+        else:
+            check_hash = series_check_hash(series, rng_state)
+            sketch = QuantileSketch().add(series.completed_latency_seconds)
         return RackShardResult(
             index=task.index,
-            name=spec.name,
-            platform=spec.platform,
-            seed=task.seed,
+            name=task.name,
+            platform=scenario.platform,
+            seed=scenario.seed,
             requests=series.total_requests,
-            completed=len(latencies),
+            completed=series.completed_count,
             dropped=series.dropped_requests,
             drop_breakdown=series.drop_breakdown(),
             retries=series.retries,
@@ -535,7 +441,11 @@ class FleetRunner:
             mean_latency_seconds=series.mean_latency_seconds,
             check_hash=check_hash,
             sketch=sketch,
-            latencies=(latencies if self._keep_latencies else None),
+            latencies=(
+                series.completed_latency_seconds
+                if self._keep_latencies
+                else None
+            ),
         )
 
     # --------------------------------------------------------------- run
@@ -558,9 +468,18 @@ class FleetRunner:
         tasks = [
             _RackTask(
                 index=index,
-                spec=spec,
+                name=spec.name,
+                scenario=RackScenario(
+                    platform=spec.platform,
+                    max_instances=spec.max_instances,
+                    policy=spec.policy,
+                    queue_depth=spec.queue_depth,
+                    seed=topology.rack_seed(index),
+                    faults=spec.faults,
+                    retry=spec.retry,
+                    control=spec.control,
+                ),
                 shard=shard,
-                seed=topology.rack_seed(index),
             )
             for index, (spec, shard) in enumerate(
                 zip(topology.racks, shards)

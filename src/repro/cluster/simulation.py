@@ -86,6 +86,48 @@ _POOL_BLOCK_MAX = 32_768
 _ENGINES = ("auto", "event", "vectorized", "streaming")
 
 
+def pool_draw_size(logical_length: int) -> int:
+    """Size of the next service-pool draw for a pool of ``logical_length``.
+
+    The deterministic draw schedule shared by every engine: an empty
+    pool draws a first block of ``_PRESAMPLE_COUNT``, and a pool that
+    runs dry doubles its logical length, one block capped at
+    ``_POOL_BLOCK_MAX``.  Every recorded check hash depends on it.
+    """
+    if logical_length == 0:
+        return _PRESAMPLE_COUNT
+    return min(logical_length, _POOL_BLOCK_MAX)
+
+
+def check_run_settings(engine: str, chunk_requests: Optional[int]) -> None:
+    """Reject an unknown ``engine`` or a ``chunk_requests`` it cannot use.
+
+    The one check behind :meth:`RackSimulation.run` and
+    :class:`~repro.cluster.sweep.RackSweep` (and so every sweep and
+    fleet run): ``chunk_requests`` is a positive int, and only
+    ``engine="streaming"`` reads it.
+    """
+    if engine not in _ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {_ENGINES}"
+        )
+    if chunk_requests is None:
+        return
+    if isinstance(chunk_requests, bool) or not isinstance(chunk_requests, int):
+        raise ConfigurationError(
+            f"chunk_requests must be an int, got {chunk_requests!r}"
+        )
+    if chunk_requests <= 0:
+        raise ConfigurationError(
+            f"chunk_requests must be positive, got {chunk_requests}"
+        )
+    if engine != "streaming":
+        raise ConfigurationError(
+            "chunk_requests only applies to engine='streaming'; "
+            f"got engine={engine!r}"
+        )
+
+
 class ServiceSampleCache:
     """Memoised service-time draw blocks, shared across simulations.
 
@@ -336,6 +378,11 @@ class SimulationSeries:
         return float(self.completed_times.max())
 
     @property
+    def completed_count(self) -> int:
+        """Requests that completed."""
+        return len(self.completed_latency_seconds)
+
+    @property
     def mean_latency_seconds(self) -> float:
         """Mean completed latency; NaN when nothing completed.
 
@@ -347,6 +394,16 @@ class SimulationSeries:
         if len(self.completed_latency_seconds) == 0:
             return float("nan")
         return float(self.completed_latency_seconds.mean())
+
+    def latency_percentile(self, q: float) -> float:
+        """Exact completed-latency percentile (0..100); NaN when nothing
+        completed.  A :class:`~repro.cluster.streaming.StreamedSeries`
+        answers the same query from its quantile sketch."""
+        if not 0 <= q <= 100:
+            raise ConfigurationError(f"percentile out of range: {q}")
+        if len(self.completed_latency_seconds) == 0:
+            return float("nan")
+        return float(np.percentile(self.completed_latency_seconds, q))
 
 
 class SeriesSink:
@@ -570,14 +627,14 @@ class RackSimulation:
     def _service_time(self, app_name: str) -> float:
         """Next pre-sampled service time for ``app_name``.
 
-        The pool grows geometrically (doubling, capped at
+        The pool grows by :func:`pool_draw_size` (doubling, capped at
         ``_POOL_BLOCK_MAX`` per block) when exhausted instead of
         wrapping modulo its length — wrapping would replay the same
         sample sequence and correlate service times across a long trace.
         """
         samples = self._service_samples.get(app_name)
         if samples is None:
-            samples = self._pool_grow_block(app_name, _PRESAMPLE_COUNT)
+            samples = self._pool_grow_block(app_name, pool_draw_size(0))
             self._service_samples[app_name] = samples
             self._service_cursor[app_name] = 0
         cursor = self._service_cursor[app_name]
@@ -589,7 +646,7 @@ class RackSimulation:
                 # Logical length = discarded prefix + physical samples
                 # (no pending remainder at this point).
                 fresh = self._pool_grow_block(
-                    app_name, min(trim + len(samples), _POOL_BLOCK_MAX)
+                    app_name, pool_draw_size(trim + len(samples))
                 )
             samples = np.concatenate([samples, fresh])
             self._service_samples[app_name] = samples
@@ -623,26 +680,7 @@ class RackSimulation:
             raise ConfigurationError(
                 f"non-positive sample interval: {sample_interval_seconds}"
             )
-        if engine not in _ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
-            )
-        if chunk_requests is not None:
-            if isinstance(chunk_requests, bool) or not isinstance(
-                chunk_requests, int
-            ):
-                raise ConfigurationError(
-                    f"chunk_requests must be an int, got {chunk_requests!r}"
-                )
-            if chunk_requests <= 0:
-                raise ConfigurationError(
-                    f"chunk_requests must be positive, got {chunk_requests}"
-                )
-            if engine != "streaming":
-                raise ConfigurationError(
-                    "chunk_requests only applies to engine='streaming'; "
-                    f"got engine={engine!r}"
-                )
+        check_run_settings(engine, chunk_requests)
         if not isinstance(trace, RequestTrace) and engine != "streaming":
             raise ConfigurationError(
                 "streamed trace sources require engine='streaming'; "

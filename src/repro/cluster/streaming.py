@@ -39,6 +39,13 @@ Bit-identity contract: for every engine family, a streamed run and
 telemetry and leave the simulation RNG and service pools in the same
 end state, for any ``chunk_requests`` — enforced by
 ``tests/test_streaming_equivalence.py``.
+
+A :class:`StreamedSeries` answers the queries a
+:class:`~repro.cluster.simulation.SimulationSeries` answers
+(``completed_count``, ``mean_latency_seconds``,
+``latency_percentile``, ``drop_breakdown``, the counters), so callers
+read either without branching on which one a run returned.  Its
+per-bucket folds are one minute wide.
 """
 
 from __future__ import annotations
@@ -65,6 +72,10 @@ _INF = float("inf")
 # rounding error next to the engines' own working state.
 _DEFAULT_CHUNK_REQUESTS = 65_536
 
+# Width of the per-bucket folds: the materialized series' per-bucket
+# helpers default to the same minute.
+_BUCKET_SECONDS = 60.0
+
 
 class StreamedSeries:
     """Constant-memory telemetry of one rack simulation.
@@ -90,18 +101,10 @@ class StreamedSeries:
         sample_times: np.ndarray,
         *,
         total_requests: int,
-        bucket_seconds: float = 60.0,
-        engine: str = "streaming",
-        chunk_requests: Optional[int] = None,
         app_catalog: Tuple[str, ...] = (),
     ) -> None:
-        if bucket_seconds <= 0:
-            raise ConfigurationError(f"non-positive bucket: {bucket_seconds}")
         self.sample_times = np.asarray(sample_times, dtype=np.float64)
         self.total_requests = int(total_requests)
-        self.bucket_seconds = float(bucket_seconds)
-        self.engine = engine
-        self.chunk_requests = chunk_requests
         self.app_catalog = tuple(app_catalog)
         self.sketch = QuantileSketch()
 
@@ -158,7 +161,7 @@ class StreamedSeries:
         if times.size == 0:
             return
         lats = np.asarray(latencies, dtype=np.float64)
-        idx = (times / self.bucket_seconds).astype(int)
+        idx = (times / _BUCKET_SECONDS).astype(int)
         need = int(idx.max()) + 1
         sums = self._grow("_lat_sums", need)
         counts = self._grow("_lat_counts", need)
@@ -182,7 +185,7 @@ class StreamedSeries:
         reasons = np.broadcast_to(
             np.asarray(reasons, dtype=np.int64), times.shape
         )
-        idx = (times / self.bucket_seconds).astype(int)
+        idx = (times / _BUCKET_SECONDS).astype(int)
         drops = self._grow("_drop_counts", int(idx.max()) + 1)
         np.add.at(drops, idx, 1)
         self.drop_reason_counts += np.bincount(
@@ -207,9 +210,7 @@ class StreamedSeries:
         if horizon == -_INF:
             buckets = 0
         else:
-            buckets = max(
-                1, int(np.ceil(horizon / self.bucket_seconds))
-            )
+            buckets = max(1, int(np.ceil(horizon / _BUCKET_SECONDS)))
         for attr in ("_lat_sums", "_lat_counts", "_drop_counts"):
             arr = self._grow(attr, buckets)
             for b in range(buckets, len(arr)):
@@ -219,14 +220,7 @@ class StreamedSeries:
         return self
 
     @classmethod
-    def from_series(
-        cls,
-        series: "SimulationSeries",
-        *,
-        bucket_seconds: float = 60.0,
-        engine: str = "materialized",
-        chunk_requests: Optional[int] = None,
-    ) -> "StreamedSeries":
+    def from_series(cls, series: "SimulationSeries") -> "StreamedSeries":
         """Streaming view of a finished materialized (or oracle) run.
 
         Copies the tick-grid series verbatim and replays the
@@ -238,9 +232,6 @@ class StreamedSeries:
         out = cls(
             series.sample_times,
             total_requests=series.total_requests,
-            bucket_seconds=bucket_seconds,
-            engine=engine,
-            chunk_requests=chunk_requests,
             app_catalog=series.app_catalog,
         )
         out.queue_depth = np.asarray(series.queue_depth).copy()
@@ -327,7 +318,9 @@ class StreamedSeries:
 
     def latency_percentile(self, q: float) -> float:
         """Sketch-estimated latency percentile (see the sketch's
-        documented ``relative_error_bound``)."""
+        documented ``relative_error_bound``); NaN when nothing
+        completed, as for :meth:`SimulationSeries.latency_percentile
+        <repro.cluster.simulation.SimulationSeries.latency_percentile>`."""
         return self.sketch.percentile(q)
 
     @property
@@ -360,8 +353,8 @@ class StreamedSeries:
 
     def identical_to(self, other: "StreamedSeries") -> bool:
         """Exact equality of every accumulator that the bit-identity
-        contract covers (engine/chunking metadata excluded; the sketch
-        comparison ignores its batching-sensitive running sum)."""
+        contract covers (the sketch comparison ignores its
+        batching-sensitive running sum)."""
         return (
             self.total_requests == other.total_requests
             and self.completed_count == other.completed_count
@@ -421,8 +414,6 @@ def run_streaming(
     sink = StreamedSeries(
         sample_tick_times(source.duration_seconds, sample_interval_seconds),
         total_requests=source.total_requests,
-        engine="streaming",
-        chunk_requests=chunk_requests,
         app_catalog=tuple(source.app_catalog),
     )
     if isinstance(source, RequestTrace):

@@ -16,12 +16,23 @@ service-sample blocks.  :class:`RackSweep` runs a list of
 
 Both reuses are bit-exact: a sweep cell produces the same
 :class:`~repro.cluster.simulation.SimulationSeries` it would produce run
-standalone.  The per-figure harnesses (``fig13.sweep``,
+standalone.  The per-figure harnesses (``fig13.run``, ``fig13.sweep``,
 ``fig13.policy_sweep``, ``fig15.run_rack``, ``fig16.run_rack``,
 ``fig17.run_rack``) are thin grids over this module.  Every policy cell
 runs on a vectorized engine: FCFS on the busy-period kernel, keyed
 policies (sjf / criticality / dag) on the index-priority engine of
 :mod:`repro.cluster.policy_engine`.
+
+:meth:`RackSweep.simulate` is the one place under ``repro`` where rack
+knobs become a :class:`~repro.cluster.simulation.RackSimulation`: sweep
+cells, fig13's two platforms and every fleet rack shard
+(:class:`~repro.cluster.fleet_engine.FleetRunner` passes the shard and
+a scenario carrying the rack's derived seed) all run through it.  A
+:class:`RackScenario` checks its knobs once, at construction;
+``engine`` and ``chunk_requests`` are run settings of the sweep, checked
+once by :func:`~repro.cluster.simulation.check_run_settings`, and stay
+out of the scenario so :meth:`RackScenario.label` keys the same cell
+under every engine.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from repro.cluster.simulation import (
     RackSimulation,
     ServiceSampleCache,
     SimulationSeries,
+    check_run_settings,
 )
 from repro.cluster.trace import DEFAULT_RATE_ENVELOPE, RequestTrace, TraceGenerator
 from repro.errors import ConfigurationError
@@ -69,6 +81,24 @@ def service_estimates_for(
     }
 
 
+def check_rack_knobs(max_instances: int, queue_depth: int, policy: str) -> None:
+    """The capacity and policy rule every rack description obeys.
+
+    Checked at construction by :class:`RackScenario` and by
+    :class:`~repro.cluster.fleet.RackSpec`, so a bad knob fails where it
+    is written, before any trace or service sample is drawn.
+    """
+    if max_instances <= 0:
+        raise ConfigurationError(f"non-positive instances: {max_instances}")
+    if queue_depth <= 0:
+        raise ConfigurationError(f"non-positive queue depth: {queue_depth}")
+    if policy not in POLICY_NAMES:
+        raise ConfigurationError(
+            f"unknown scheduling policy {policy!r}; expected one of "
+            f"{POLICY_NAMES}"
+        )
+
+
 def default_criticality_priorities(context) -> Dict[str, int]:
     """One priority class per application, in alphabetical order.
 
@@ -85,7 +115,12 @@ def default_criticality_priorities(context) -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class RackScenario:
-    """One cell of a rack-scale study grid."""
+    """One cell of a rack-scale study grid.
+
+    Also the rack a fleet shard runs: the fleet runner hands each shard
+    to :meth:`RackSweep.simulate` as a scenario carrying the rack's
+    derived seed.
+    """
 
     platform: str
     rate_scale: float = 1.0
@@ -97,6 +132,9 @@ class RackScenario:
     faults: Optional[FaultSchedule] = None
     retry: Optional[RetryPolicy] = None
     control: Optional[ControlPlane] = None
+
+    def __post_init__(self) -> None:
+        check_rack_knobs(self.max_instances, self.queue_depth, self.policy)
 
     def label(self) -> str:
         parts = [
@@ -131,11 +169,7 @@ class ScenarioResult:
 
     @property
     def completed_count(self) -> int:
-        """Completed requests, for either series representation."""
-        series = self.series
-        if hasattr(series, "completed_count"):
-            return int(series.completed_count)
-        return len(series.completed_latency_seconds)
+        return self.series.completed_count
 
     @property
     def mean_latency_seconds(self) -> float:
@@ -150,18 +184,7 @@ class ScenarioResult:
         :class:`~repro.cluster.streaming.StreamedSeries`, which answers
         from its quantile sketch (bin-resolution accurate) instead.
         """
-        if not 0 <= percentile <= 100:
-            raise ConfigurationError(
-                f"percentile out of range: {percentile}"
-            )
-        if self.completed_count == 0:
-            return float("nan")
-        series = self.series
-        if hasattr(series, "latency_percentile"):
-            return float(series.latency_percentile(percentile))
-        return float(
-            np.percentile(series.completed_latency_seconds, percentile)
-        )
+        return self.series.latency_percentile(percentile)
 
     @property
     def p95_latency_seconds(self) -> float:
@@ -295,11 +318,7 @@ class RackSweep:
         priorities: Optional[Dict[str, int]] = None,
         chunk_requests: Optional[int] = None,
     ) -> None:
-        if chunk_requests is not None and engine != "streaming":
-            raise ConfigurationError(
-                "chunk_requests only applies to engine='streaming'; "
-                f"got engine={engine!r}"
-            )
+        check_run_settings(engine, chunk_requests)
         self._context = context
         self._envelope = tuple(float(rate) for rate in rate_envelope)
         self._segment_seconds = segment_seconds
@@ -358,20 +377,18 @@ class RackSweep:
             return PolicyFactory(
                 "criticality", priorities=self._criticality_priorities()
             )
-        if name == "dag":
-            return PolicyFactory(
-                "dag", applications=self._context.applications
-            )
-        raise ConfigurationError(
-            f"unknown scheduling policy {name!r}; expected one of "
-            f"{POLICY_NAMES}"
-        )
+        return PolicyFactory("dag", applications=self._context.applications)
 
     # ------------------------------------------------------------------
-    def run_one(
+    def simulate(
         self, scenario: RackScenario, trace: Optional[RequestTrace] = None
-    ) -> ScenarioResult:
-        """Run a single grid cell (bit-identical to a standalone run)."""
+    ) -> Tuple[RackSimulation, SimulationSeries]:
+        """Run one cell; returns the simulation and its series.
+
+        The simulation is returned for its RNG end state, which the
+        fleet's per-rack check hash covers.  ``trace`` overrides the
+        ``(seed, rate_scale)`` trace lookup (a fleet passes its shard).
+        """
         model = self._context.models.get(scenario.platform)
         if model is None:
             raise ConfigurationError(
@@ -398,15 +415,19 @@ class RackSweep:
         )
         if trace is None:
             trace = self.trace_for(scenario.seed, scenario.rate_scale)
-        if self._engine == "streaming":
-            series = simulation.run(
-                trace, self._sample_interval, engine=self._engine,
-                chunk_requests=self._chunk_requests,
-            )
-        else:
-            series = simulation.run(
-                trace, self._sample_interval, engine=self._engine
-            )
+        series = simulation.run(
+            trace,
+            self._sample_interval,
+            engine=self._engine,
+            chunk_requests=self._chunk_requests,
+        )
+        return simulation, series
+
+    def run_one(
+        self, scenario: RackScenario, trace: Optional[RequestTrace] = None
+    ) -> ScenarioResult:
+        """Run a single grid cell (bit-identical to a standalone run)."""
+        _, series = self.simulate(scenario, trace)
         return ScenarioResult(scenario=scenario, series=series)
 
     def run(

@@ -35,7 +35,6 @@ from repro.accelerator.scaling import scale_power
 from repro.analysis.pareto import DesignPoint2D, pareto_front_points
 from repro.accelerator.simulator import CycleSimulator
 from repro.compiler.executable import ProgramCache, compile_graph_uncached
-from repro.compiler.packed_codegen import lower_packed
 from repro.errors import ConfigurationError
 from repro.models.graph import Graph
 
@@ -84,16 +83,14 @@ class DSEExplorer:
         power_budget_watts: float = SMARTSSD_POWER_BUDGET_WATTS
         * ACCELERATOR_POWER_SHARE,
         engine: str = "packed",
-        cache_programs: bool = True,
     ) -> None:
         """``deployment_node_nm`` defaults to the 45 nm synthesis node —
         the conservative budget check under which the paper's Dim128
         point is the largest feasible array.  Pass 14 to budget against
         the scaled deployment silicon instead.  ``engine`` selects the
         simulation path (``"packed"`` fast engine or the ``"scalar"``
-        reference oracle; both are bit-identical).  ``cache_programs``
-        disables the cross-sweep compiled-program cache when False —
-        benchmarks use that to measure the cold-compile baseline."""
+        reference oracle, which compiles every point cold; both are
+        bit-identical)."""
         if power_budget_watts <= 0:
             raise ConfigurationError("non-positive power budget")
         if engine not in ("packed", "scalar"):
@@ -105,7 +102,6 @@ class DSEExplorer:
         # Keyed by the (frozen, hashable) config itself — labels do not
         # encode frequency or tech node, so they can alias design points.
         self._cache: Dict[DSAConfig, DesignPointResult] = {}
-        self._cache_programs = cache_programs
         self._programs = ProgramCache()
 
     def __getstate__(self):
@@ -140,10 +136,7 @@ class DSEExplorer:
             if self._engine == "packed":
                 # Fast path: direct graph -> columns lowering (no Python
                 # instruction objects), shared across configs via tiling key.
-                if self._cache_programs:
-                    packed = self._programs.get_packed(graph, config)
-                else:
-                    packed = lower_packed(graph, config)
+                packed = self._programs.get_packed(graph, config)
                 report = simulator.run_packed(packed)
             else:
                 executable = compile_graph_uncached(graph, config)

@@ -5,10 +5,11 @@
 time.  The baseline saturates its 200 instances and accumulates queued
 requests, so its latency climbs; DSCS serves the same trace with headroom.
 
-:func:`run` regenerates the paper's figure; :func:`sweep` fans the same
-study out over a rate-scale x fleet-size x policy grid through
-:mod:`repro.cluster.sweep`, reusing traces and service samples across
-cells.  :func:`policy_sweep` (the ``fig13-policy`` experiment) is the
+:func:`run` regenerates the paper's figure as a two-cell grid (one rate,
+one fleet size, both platforms) of :mod:`repro.cluster.sweep`;
+:func:`sweep` fans the same study out over a rate-scale x fleet-size x
+policy grid, reusing traces and service samples across cells.
+:func:`policy_sweep` (the ``fig13-policy`` experiment) is the
 scheduling-policy study: the same grid crossed with all four policies
 (FCFS and the paper's future-work SJF / criticality / DAG-aware), every
 cell running on a vectorized engine — the busy-period FCFS kernel or the
@@ -20,16 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
-from repro.cluster.simulation import RackSimulation, SimulationSeries
+from repro.cluster.simulation import SimulationSeries
 from repro.cluster.sweep import (
     POLICY_NAMES,
     RackSweep,
     ScenarioResult,
     scenario_grid,
 )
-from repro.cluster.trace import RequestTrace, TraceGenerator
+from repro.cluster.trace import RequestTrace
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
     BASELINE_NAME,
@@ -47,21 +46,12 @@ def series_row(platform: str, series: SimulationSeries) -> dict:
     :class:`~repro.cluster.streaming.StreamedSeries` (sketch
     percentiles, bin-resolution accurate).
     """
-    if hasattr(series, "completed_latency_seconds"):
-        latencies = series.completed_latency_seconds
-        completed = len(latencies)
-        p95 = float(np.percentile(latencies, 95)) if completed else float("nan")
-        p99 = float(np.percentile(latencies, 99)) if completed else float("nan")
-    else:
-        completed = series.completed_count
-        p95 = series.latency_percentile(95.0) if completed else float("nan")
-        p99 = series.latency_percentile(99.0) if completed else float("nan")
     return {
         "platform": platform,
         "requests": series.total_requests,
         "mean_latency_s": round(series.mean_latency_seconds, 6),
-        "p95_latency_s": round(p95, 6),
-        "p99_latency_s": round(p99, 6),
+        "p95_latency_s": round(series.latency_percentile(95.0), 6),
+        "p99_latency_s": round(series.latency_percentile(99.0), 6),
         "peak_queue": int(series.queue_depth.max()) if len(series.queue_depth) else 0,
         "dropped": series.dropped_requests,
         "wall_clock_s": round(series.wall_clock_seconds, 3),
@@ -141,32 +131,28 @@ def _at_scale_study(
     engine: str,
     chunk_requests=None,
 ) -> AtScaleStudy:
-    app_names = context.app_names
-    from repro.cluster.trace import DEFAULT_RATE_ENVELOPE
+    """Both platforms as a one-rate, one-fleet-size sweep grid.
 
-    envelope = tuple(rate * rate_scale for rate in DEFAULT_RATE_ENVELOPE)
-    generator = TraceGenerator(app_names, rate_envelope=envelope)
-    trace = generator.generate(np.random.default_rng(seed))
-
-    baseline_sim = RackSimulation(
-        context.models[BASELINE_NAME],
-        context.applications,
-        max_instances=max_instances,
-        seed=seed,
+    Each platform runs once, so there is no service sample to reuse.
+    """
+    harness = RackSweep(
+        context,
+        engine=engine,
+        reuse_service_samples=False,
+        chunk_requests=chunk_requests,
     )
-    dscs_sim = RackSimulation(
-        context.models[DSCS_NAME],
-        context.applications,
-        max_instances=max_instances,
-        seed=seed,
+    baseline, dscs = harness.run(
+        scenario_grid(
+            platforms=(BASELINE_NAME, DSCS_NAME),
+            rate_scales=(rate_scale,),
+            max_instances=(max_instances,),
+            seed=seed,
+        )
     )
-    run_kwargs = {"engine": engine}
-    if engine == "streaming":
-        run_kwargs["chunk_requests"] = chunk_requests
     return AtScaleStudy(
-        trace=trace,
-        baseline=baseline_sim.run(trace, **run_kwargs),
-        dscs=dscs_sim.run(trace, **run_kwargs),
+        trace=harness.trace_for(seed, rate_scale),
+        baseline=baseline.series,
+        dscs=dscs.series,
     )
 
 

@@ -1,10 +1,18 @@
 """The Fig. 13 experiment module at reduced scale."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.cluster.fleet_engine import series_digest
+from repro.errors import ConfigurationError
 from repro.experiments import fig13
 from repro.experiments.common import BASELINE_NAME, DSCS_NAME, build_context
+from repro.experiments.registry import REGISTRY, load_all
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +136,36 @@ def test_run_without_completions_reports_nan_mean(engine):
         assert np.isnan(row["mean_latency_s"])
         assert np.isnan(row["p95_latency_s"])
         assert np.isnan(row["p99_latency_s"])
+
+
+@pytest.mark.parametrize(
+    "name", ("fig13", "fig13-sweep", "fig13-policy", "fig13-fleet")
+)
+def test_chunk_size_without_streaming_engine_rejected(name):
+    """Every rack experiment refuses a chunk size its engine would
+    ignore, instead of running and recording it in provenance."""
+    load_all()
+    with pytest.raises(ConfigurationError):
+        REGISTRY.run(name, profile="fast", engine="auto", chunk_requests=100)
+
+
+def test_paper_profile_reproduces_bench_rack_check_hash():
+    """The paper-scale study through the registry hashes to the check
+    hash BENCH_rack.json recorded for the standalone two-platform run
+    (641,822 requests, 2,664 Baseline drops).
+
+    The context is built fresh, as in the fresh process that recorded
+    the hash: DSCS platforms cache execution reports by graph name, and
+    two different graphs share the name ``image_preprocess_224``, so a
+    platform that served another study first can serve different
+    service times (a known defect, recorded on the ROADMAP).
+    """
+    load_all()
+    context = build_context(platform_names=[BASELINE_NAME, DSCS_NAME])
+    study = REGISTRY.run("fig13", profile="paper", context=context).study
+    recorded = json.loads((ROOT / "BENCH_rack.json").read_text())
+    assert series_digest(
+        {BASELINE_NAME: study.baseline, DSCS_NAME: study.dscs}
+    ) == recorded["check_hash"]
+    assert len(study.trace) == recorded["workload"]["num_requests"]
+    assert study.baseline.dropped_requests == 2664

@@ -49,6 +49,14 @@ class TestScenarioGrid:
         assert "p" in label and "x2" in label and "7 inst" in label
         assert "cold" in label
 
+    @pytest.mark.parametrize(
+        "knobs",
+        ({"max_instances": 0}, {"queue_depth": 0}, {"policy": "lottery"}),
+    )
+    def test_bad_knobs_rejected_at_construction(self, knobs):
+        with pytest.raises(ConfigurationError):
+            RackScenario(platform="p", **knobs)
+
     def test_chaos_knobs_thread_through_grid(self):
         faults = FaultSchedule(instance_mtbf_seconds=60.0)
         retry = RetryPolicy(max_retries=1)
