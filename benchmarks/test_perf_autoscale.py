@@ -4,9 +4,9 @@ Two guards on the full Fig. 13 trace:
 
 1. **Control speedup** — with autoscaling + shedding engaged (composed
    with the mild chaos schedule of ``test_perf_faults.py``), the
-   vectorized control engine must beat the event-driven control oracle,
+   control kernel must beat the event-driven control oracle,
    bit-identically.  ``scripts/bench_autoscale.py`` records the real
-   figure in ``BENCH_autoscale.json`` (~2.2x on the two-platform study).
+   figure in ``BENCH_autoscale.json`` (~4.9x on the two-platform study).
 2. **Zero-control overhead** — an inert ``ControlPlane()`` must route
    to the existing engines and keep the fault-free vectorized path's
    (>= 5x) speedup.  The control layer costs nothing until enabled.
@@ -89,14 +89,14 @@ def test_control_vectorized_beats_control_oracle(benchmark):
                 "wall_s": round(event_s, 3),
             },
             {
-                "engine": "vectorized control engine",
+                "engine": "control kernel",
                 "wall_s": round(fast_s, 3),
             },
         ],
     )
     print(f"speedup: {speedup:.1f}x (results bit-identical)")
     benchmark.extra_info["speedup_vs_event"] = round(speedup, 2)
-    # BENCH_autoscale.json records ~2.2x on the two-platform study; the
+    # BENCH_autoscale.json records ~4.9x on the two-platform study; the
     # loose bound keeps CI variance from flaking.
     assert speedup >= 1.3
 

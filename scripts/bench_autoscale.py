@@ -11,8 +11,9 @@ retries), through
 - the **event-driven control oracle** — one callback per arrival,
   control tick, warmup activation, fault event, timer, and completion,
   and
-- the **vectorized control engine** — chaos pass-A chunking with
-  control-epoch boundaries and a vectorized admission gate —
+- the **control kernel** — pass-A windows and the FIFO pass cut at
+  fault and control events, with the admission gate applied in
+  batches —
 
 checks the two are bit-identical (series incl. live-capacity and
 per-app completion records, ``shed`` drops, RNG end state), and writes
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--skip-event",
         action="store_true",
-        help="only time the vectorized control engine (no oracle)",
+        help="only time the control kernel (no oracle)",
     )
     args = parser.parse_args(argv)
 
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
             PLANE,
         )
     )
-    fast = engine_record("vectorized control engine", fast_s, work_items)
+    fast = engine_record("control kernel", fast_s, work_items)
     print(f"vectorized:   {fast_s:8.2f}s  ({work_items / fast_s:9.0f} req/s)")
 
     oracle = None
@@ -160,7 +161,8 @@ def main(argv=None) -> int:
         )
 
     # Zero-control overhead: the same chaos study with an inert plane
-    # must route to (and run at the speed of) the chaos fast engine.
+    # runs the control kernel with no decision ticks, at the speed of a
+    # plain fault/retry run.
     (_, _), inert_s = timed(
         lambda: run_study(
             context, trace, "vectorized", args.max_instances, args.seed,
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
     )
     print(
         f"inert plane:  {inert_s:8.2f}s  "
-        f"({work_items / inert_s:9.0f} req/s, routes to chaos engine)"
+        f"({work_items / inert_s:9.0f} req/s, inert plane)"
     )
 
     record = build_record(

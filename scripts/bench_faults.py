@@ -9,8 +9,8 @@ windows) and a retry policy (queue timeouts, bounded retries) through
   plane: one handler call per arrival, retry re-arrival, timeout timer,
   capacity event, and completion, and
 - the **control kernel with an inert plane**
-  (``run_chaos_vectorized``) — pass-A windows within capacity epochs
-  plus the keyed dispatch —
+  (``run_chaos_vectorized``) — pass-A windows while servers are free,
+  the FIFO pass on a congested FCFS rack, the keyed dispatch otherwise —
 
 checks the two are bit-identical (series, drop reasons, retry/timeout/
 kill counters, RNG end state), and writes the shared ``bench_common``
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--skip-event",
         action="store_true",
-        help="only time the vectorized chaos engine (no oracle)",
+        help="only time the control kernel (no oracle)",
     )
     args = parser.parse_args(argv)
 
@@ -110,7 +110,9 @@ def main(argv=None) -> int:
             FAULTS, RETRY,
         )
     )
-    fast = engine_record("vectorized chaos engine", fast_s, work_items)
+    fast = engine_record(
+        "control kernel, inert plane", fast_s, work_items
+    )
     print(f"vectorized:   {fast_s:8.2f}s  ({work_items / fast_s:9.0f} req/s)")
 
     oracle = None
@@ -122,7 +124,7 @@ def main(argv=None) -> int:
             )
         )
         oracle = engine_record(
-            "event-driven chaos oracle", event_s, work_items
+            "event-driven control oracle, inert plane", event_s, work_items
         )
         print(
             f"event-driven: {event_s:8.2f}s  "
@@ -133,7 +135,7 @@ def main(argv=None) -> int:
             for name in event_series
         ) and event_rng == fast_rng
         if not identical:
-            print("ERROR: chaos engines disagree — not recording",
+            print("ERROR: kernel and oracle disagree — not recording",
                   file=sys.stderr)
             return 1
         print(

@@ -154,9 +154,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         _print_listing(args.tag)
         return 0
     spec = REGISTRY.get(args.experiment)
-    result = REGISTRY.run(
-        spec.name, profile=args.profile, **_cli_overrides(spec, args)
-    )
+    try:
+        result = REGISTRY.run(
+            spec.name, profile=args.profile, **_cli_overrides(spec, args)
+        )
+    except ConfigurationError as error:
+        # A flag combination the experiment rejects is a usage error,
+        # reported like argparse reports one, not a traceback.
+        print(f"repro {spec.name}: error: {error}", file=sys.stderr)
+        return 2
     if spec.headline is not None:
         note = spec.headline(result.study)
         if note:

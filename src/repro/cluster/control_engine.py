@@ -32,13 +32,22 @@ Shared semantics, implemented twice:
   activations, timeouts, arrivals, sample ticks, completions).
 - :func:`control_kernel` — a next-event loop over the same sources.
   Faults and control events partition the timeline into capacity
-  epochs; within one, contention-free stretches run through the windowed
-  pass A of the fault-free kernels (``completion = arrival + service``,
+  epochs; within one, trace arrivals are served in batches.
+  Contention-free stretches run through the windowed pass A of the
+  fault-free kernels (``completion = arrival + service``,
   ``searchsorted`` occupancy checks, tentative-draw RNG rollback), the
   arrival gate applied as a vectorized mask (token spend committed only
   for the admitted prefix that actually starts; shed arrivals never
-  touch the RNG), and congested stretches step serially through the
-  keyed dispatch.  Like every rack kernel it walks the trace in chunks
+  touch the RNG).  Congested stretches of a FIFO rack (one key prefix
+  for the whole catalog) run through the FIFO pass: the FCFS kernel's
+  virtual-server recurrence over the ``cap`` server-free times, walked
+  in event order with the gate, queue-full failures, timeouts and
+  retries inline — re-injected requests waiting behind every trace
+  request, as their keys say — and every service drawn at its start,
+  so nothing is tentative.  Only keyed queues step serially through
+  the keyed dispatch.  In-flight requests are one columnar sorted run
+  (:class:`_InFlight`), so completions retire as array slices while
+  nobody waits.  Like every rack kernel it walks the trace in chunks
   and folds its events into a telemetry sink (see
   :mod:`repro.cluster.fast_engine`): :func:`run_control_vectorized`
   (active plane) and
@@ -63,14 +72,16 @@ decision logic itself lives in one place —
 re-implemented: both engines feed it the identical observations in the
 identical order, which is what makes the control loop bit-identical by
 construction (``tests/test_control_equivalence.py``,
-``tests/test_fault_equivalence.py``).
+``tests/test_fault_equivalence.py``, and the generated configurations
+of ``tests/test_control_property.py``).
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import count
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -450,6 +461,1202 @@ def run_control_event(
     )
 
 
+# Column dtypes of an in-flight row: completion, start sequence, original
+# arrival, app id, original trace index, attempt.
+_FLIGHT_DTYPES = (
+    np.float64, np.int64, np.float64, np.intp, np.int64, np.int64
+)
+# Longest plain-list read-ahead of one app's service pool in a FIFO pass.
+_READ_AHEAD_MAX = 4096
+
+
+class _InFlight:
+    """The requests in service, in canonical (completion, start order).
+
+    The :class:`~repro.cluster.fast_engine.Departures` of a kernel that
+    must know *who* completes: batched starts merge into one sorted run
+    of columns — completion, start sequence, original arrival, app id,
+    original trace index, attempt — with a list mirror of the
+    completions, so everything before a time retires with one bisect,
+    as array slices.  Requests started one at a time go to a small heap
+    of row tuples in the same field order.
+    """
+
+    __slots__ = ("_cols", "_done", "_head", "_next", "_heap")
+
+    def __init__(self) -> None:
+        self._heap: List[tuple] = []
+        self._reset([np.empty(0, dtype=dtype) for dtype in _FLIGHT_DTYPES])
+
+    def _reset(self, cols: List[np.ndarray]) -> None:
+        self._cols = cols
+        self._done: List[float] = cols[0].tolist()
+        self._head = 0
+        self._next = self._done[0] if self._done else _INF
+
+    def __len__(self) -> int:
+        return len(self._done) - self._head + len(self._heap)
+
+    def next_time(self) -> float:
+        """The earliest completion in service (+inf when idle)."""
+        heap = self._heap
+        if heap and heap[0][0] < self._next:
+            return heap[0][0]
+        return self._next
+
+    def push(self, row: tuple) -> None:
+        """Add one serially started row."""
+        heappush(self._heap, row)
+
+    def pop(self) -> tuple:
+        """Retire and return the earliest row."""
+        heap = self._heap
+        head = self._head
+        if heap:
+            top = heap[0]
+            if top[0] < self._next or (
+                top[0] == self._next and top[1] < int(self._cols[1][head])
+            ):
+                return heappop(heap)
+        row = (self._done[head],) + tuple(
+            column[head].item() for column in self._cols[1:]
+        )
+        head += 1
+        self._head = head
+        self._next = self._done[head] if head < len(self._done) else _INF
+        return row
+
+    def _absorb_heap(self) -> None:
+        """Merge the serially started rows into the sorted run."""
+        heap = self._heap
+        if not heap:
+            return
+        self._heap = []
+        head = self._head
+        cols = [
+            np.concatenate([column[head:], np.array(extra, dtype=dtype)])
+            for column, extra, dtype in zip(
+                self._cols, zip(*heap), _FLIGHT_DTYPES
+            )
+        ]
+        order = np.lexsort((cols[1], cols[0]))
+        self._reset([column[order] for column in cols])
+
+    def add(
+        self,
+        done: np.ndarray,
+        arrival: np.ndarray,
+        app: np.ndarray,
+        orig: np.ndarray,
+        attempt: np.ndarray,
+        first_seq: int,
+    ) -> None:
+        """Merge rows started in start order as sequences ``first_seq,
+        first_seq + 1, ...`` — after every row in service."""
+        self._absorb_heap()
+        head = self._head
+        seq = np.arange(first_seq, first_seq + len(done), dtype=np.int64)
+        batch = (done, seq, arrival, app, orig, attempt)
+        cols = [
+            np.concatenate([column[head:], part])
+            for column, part in zip(self._cols, batch)
+        ]
+        # Live rows come first and the batch is in start order, so a
+        # stable sort on completion keeps start order among ties.
+        order = np.argsort(cols[0], kind="stable")
+        self._reset([column[order] for column in cols])
+
+    def retire_before(
+        self, now: float
+    ) -> Tuple[List[tuple], Optional[List[np.ndarray]]]:
+        """Retire every row completing strictly before ``now``.
+
+        Returns ``(rows, columns)``: heap rows as tuples when only the
+        heap holds such rows, else the run's slice as columns (the heap
+        merged in first when both do); either part may be empty.
+        """
+        heap = self._heap
+        if heap and heap[0][0] < now:
+            if self._next >= now:
+                rows = []
+                while heap and heap[0][0] < now:
+                    rows.append(heappop(heap))
+                return rows, None
+            self._absorb_heap()
+        if self._next >= now:
+            return [], None
+        head = self._head
+        cut = bisect_left(self._done, now, head)
+        self._head = cut
+        self._next = self._done[cut] if cut < len(self._done) else _INF
+        return [], [column[head:cut] for column in self._cols]
+
+    def completions(self) -> np.ndarray:
+        """Every completion in service, ascending."""
+        self._absorb_heap()
+        return self._cols[0][self._head :]
+
+    def latest(self, count: int) -> List[float]:
+        """The ``count`` latest completions, ascending (a valid heap)."""
+        self._absorb_heap()
+        return self._done[len(self._done) - count :]
+
+    def kill(self, count: int) -> List[tuple]:
+        """Remove the ``count`` rows that would complete last; returns
+        them latest first."""
+        self._absorb_heap()
+        end = len(self._done)
+        lo = end - count
+        victims = list(
+            zip(*(column[lo:end].tolist() for column in self._cols))
+        )
+        victims.reverse()
+        self._reset([column[self._head : lo] for column in self._cols])
+        return victims
+
+
+class _PoolReader:
+    """Service samples read in start order through per-app read-ahead.
+
+    The FIFO pass draws each start's service time when the start
+    happens, in the oracle's order, so no draw is tentative: every app
+    reads through a plain-list copy of its pool's next samples, and
+    only a read past the copy goes through
+    ``RackSimulation._service_time`` — which grows the pool exactly
+    when the oracle would.  :meth:`close` moves the pool cursors past
+    what was read.
+    """
+
+    def __init__(self, sim: "RackSimulation", app_names: List[str]) -> None:
+        self._sim = sim
+        self._names = app_names
+        self.runs: List[List[float]] = [[] for _ in app_names]
+        self.read = [0] * len(app_names)
+
+    def refill(self, app_id: int) -> float:
+        """The next sample of ``app_id`` once its read-ahead is spent."""
+        sim = self._sim
+        name = self._names[app_id]
+        cursors = sim._service_cursor
+        if self.read[app_id]:
+            cursors[name] += self.read[app_id]
+        value = sim._service_time(name)
+        offset = cursors[name] - sim._service_trim.get(name, 0)
+        size = min(max(2 * len(self.runs[app_id]), 64), _READ_AHEAD_MAX)
+        self.runs[app_id] = sim._service_samples[name][
+            offset : offset + size
+        ].tolist()
+        self.read[app_id] = 0
+        return value
+
+    def close(self) -> None:
+        cursors = self._sim._service_cursor
+        for app_id, count in enumerate(self.read):
+            if count:
+                cursors[self._names[app_id]] += count
+                self.read[app_id] = 0
+            self.runs[app_id] = []
+
+
+class _ControlRun:
+    """The state one :func:`control_kernel` run walks, and its steps.
+
+    Queue entries are request tuples ``(qseq, app_id, orig_seq, attempt,
+    orig_arrival)``.  ``queued`` maps each waiting ``qseq`` to its
+    (enqueue time, policy sort key) and is the membership test every
+    lazy deletion checks.  On a FIFO rack (one key prefix for the whole
+    catalog) trace requests wait in ``fifo_queue`` — qseq order,
+    consumed from ``fifo_head`` — and only re-injected requests go to
+    the key heap ``qheap``, behind every trace request as their keys
+    say; on a keyed rack everything goes to ``qheap``.
+    """
+
+    def __init__(
+        self,
+        sim: "RackSimulation",
+        policy: "KeyedPolicy",
+        source,
+        sink,
+        timeline: FaultTimeline,
+        retry: RetryPolicy,
+        plane: ControlPlane,
+    ) -> None:
+        self.sink = sink
+        self.timeline = timeline
+        self.retry = retry
+        self.n = source.total_requests
+        self.qmax = sim._queue_depth
+        self.timeout = retry.timeout_seconds
+        self.hedge = retry.hedge_after_seconds
+        self.max_retries = retry.max_retries
+        self.multiplier_at = timeline.multiplier_at
+        self.observe_app = policy.observe_app
+        self.service_time = sim._service_time
+
+        app_names = list(source.app_catalog)
+        self.app_names = app_names
+        self.n_apps = len(app_names)
+        self.pools = _ServicePools(sim, app_names)
+        self.reader = _PoolReader(sim, app_names)
+        self.prefixes = [policy.key.key_for(name) for name in app_names]
+        self.fifo_rack = len(set(self.prefixes)) <= 1
+
+        state = ControllerState(plane, sim._max_instances, app_names)
+        self.state = state
+        self.controlled = plane.active
+        self.windows = state.windows_active
+        self.gating = state.gating_active
+        self.surviving = timeline.initial_capacity
+        self.cap = min(state.live, self.surviving)
+
+        self.fault_times = timeline.times.tolist()
+        self.fault_caps = timeline.capacities.tolist()
+        self.has_slowdowns = len(timeline.slow_starts) > 0
+        self.slow_starts = timeline.slow_starts.tolist()
+        self.slow_ends = timeline.slow_ends.tolist()
+        self.ctrl_times = _decision_ticks(source, plane)
+        self.activations: List[Tuple[float, int, int]] = []
+        self.activation_counter = count()
+
+        # Tick-visible event logs.  ``pre`` events rank before an
+        # equal-time sample tick (visible to it), ``post`` events after.
+        ticks = sink.sample_times
+        self.starts_pre = TickLog(ticks, inclusive=True)
+        self.starts_post = TickLog(ticks, inclusive=False)
+        self.enqueued = TickLog(ticks, inclusive=True)
+        self.dequeued_pre = TickLog(ticks, inclusive=True)
+        self.dequeued_post = TickLog(ticks, inclusive=False)
+        self.kills = TickLog(ticks, inclusive=True)
+        self.completion_log = TickLog(ticks, inclusive=False)
+        # Completions in canonical order: scalars, then array parts.
+        self.done_times: List[float] = []
+        self.done_latencies: List[float] = []
+        self.done_apps: List[int] = []
+        self.done_parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.drop_times: List[float] = []
+        self.drop_reasons: List[int] = []
+
+        self.qheap: List[tuple] = []
+        self.fifo_queue: List[tuple] = []
+        self.fifo_head = 0
+        self.queued: Dict[int, Tuple[float, tuple]] = {}
+        self.reinjected = 0  # waiting requests with qseq >= n
+        self.timers: List[tuple] = []  # (deadline, push order, request)
+        self.timer_counter = count()
+        self.injected: List[tuple] = []  # (time, push order, request)
+        self.injected_counter = count()
+        self.flight = _InFlight()
+        self.busy = 0
+        self.start_counter = 0
+        self.retry_counter = 0
+        self.retries = self.timeouts = self.crash_kills = 0
+        self.hedges_launched = self.hedge_wins = 0
+        self.window_size = _WINDOW_MIN
+
+        # The current chunk: arrays, list mirrors, global index of its
+        # first request.
+        self.arrivals = np.empty(0)
+        self.app_ids = np.empty(0, dtype=np.intp)
+        self.arrivals_list: List[float] = []
+        self.ids_list: List[int] = []
+        self.base = 0
+
+    # ---- telemetry -----------------------------------------------------
+
+    def _spill_done(self) -> None:
+        if self.done_times:
+            self.done_parts.append(
+                (
+                    np.array(self.done_times),
+                    np.array(self.done_latencies),
+                    np.array(self.done_apps, dtype=np.intp),
+                )
+            )
+            self.done_times.clear()
+            self.done_latencies.clear()
+            self.done_apps.clear()
+
+    def fold(self) -> None:
+        """Fold the completions, drops and tick counts since the last
+        fold into the sink."""
+        self._spill_done()
+        parts = self.done_parts
+        if parts:
+            times, latencies, apps = (
+                np.concatenate(field) if len(parts) > 1 else field[0]
+                for field in zip(*parts)
+            )
+            self.sink.fold_completions(
+                times,
+                latencies,
+                apps.astype(np.int64) if self.controlled else None,
+            )
+            self.completion_log.extend(times)
+            parts.clear()
+        if self.drop_times:
+            self.sink.fold_drops(
+                np.array(self.drop_times),
+                np.array(self.drop_reasons, dtype=np.int8),
+            )
+            self.drop_times.clear()
+            self.drop_reasons.clear()
+        for log in (
+            self.starts_pre, self.starts_post, self.enqueued,
+            self.dequeued_pre, self.dequeued_post, self.kills,
+            self.completion_log,
+        ):
+            log.count()
+
+    def finalize(self):
+        self.fold()
+        sink = self.sink
+        sink.busy_instances = (
+            self.starts_pre.series()
+            + self.starts_post.series()
+            - self.completion_log.series()
+            - self.kills.series()
+        )
+        sink.queue_depth = (
+            self.enqueued.series()
+            - self.dequeued_pre.series()
+            - self.dequeued_post.series()
+        )
+        if self.controlled:
+            sink.live_instances = _live_series(self.state, sink.sample_times)
+            sink.app_catalog = tuple(self.app_names)
+            sink.scale_ups = self.state.scale_ups
+            sink.scale_downs = self.state.scale_downs
+        sink.retries = self.retries
+        sink.timeouts = self.timeouts
+        sink.crash_kills = self.crash_kills
+        sink.hedges_launched = self.hedges_launched
+        sink.hedge_wins = self.hedge_wins
+        return sink.finalize()
+
+    # ---- serial steps --------------------------------------------------
+
+    def start(
+        self,
+        app_id: int,
+        now: float,
+        orig_arrival: float,
+        orig_seq: int,
+        attempt: int,
+        pre_tick: bool,
+    ) -> None:
+        name = self.app_names[app_id]
+        sample = self.service_time(name)
+        mult = self.multiplier_at(now)
+        effective = mult * sample
+        hedge = self.hedge
+        if hedge is not None:
+            backup = self.service_time(name)
+            alternative = hedge + mult * backup
+            if effective > hedge:
+                self.hedges_launched += 1
+            if alternative < effective:
+                self.hedge_wins += 1
+                effective = alternative
+        seq = self.start_counter
+        self.start_counter = seq + 1
+        self.flight.push(
+            (now + effective, seq, orig_arrival, app_id, orig_seq, attempt)
+        )
+        self.busy += 1
+        (self.starts_pre if pre_tick else self.starts_post).append(now)
+
+    def fail(
+        self, app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
+        reason: int, now: float,
+    ) -> None:
+        if self.windows:
+            self.state.record_failure(app_id)
+        if attempt < self.max_retries:
+            self.retries += 1
+            delay = self.retry.backoff_seconds(orig_seq, attempt)
+            reattempt = (
+                self.n + self.retry_counter, app_id, orig_seq, attempt + 1,
+                orig_arrival,
+            )
+            self.retry_counter += 1
+            heappush(
+                self.injected,
+                (now + delay, next(self.injected_counter), reattempt),
+            )
+        else:
+            self.drop_times.append(now)
+            self.drop_reasons.append(reason)
+
+    def shed_drop(self, now: float) -> None:
+        self.drop_times.append(now)
+        self.drop_reasons.append(REASON_SHED)
+
+    def unqueue(self, qseq: int) -> None:
+        """Take a waiting request out of the queue (lazy deletion)."""
+        del self.queued[qseq]
+        if qseq >= self.n:
+            self.reinjected -= 1
+
+    def dispatch(self, now: float, pre_tick: bool) -> None:
+        """Start the waiting request with the smallest key."""
+        fifo = self.fifo_queue
+        head = self.fifo_head
+        queued = self.queued
+        request = None
+        while head < len(fifo):
+            entry = fifo[head]
+            head += 1
+            if entry[0] in queued:
+                request = entry
+                break
+        if head > 4096 and 2 * head > len(fifo):
+            del fifo[:head]
+            head = 0
+        self.fifo_head = head
+        if request is None:
+            while True:
+                request = heappop(self.qheap)[-5:]
+                if request[0] in queued:
+                    break
+        self.unqueue(request[0])
+        (self.dequeued_pre if pre_tick else self.dequeued_post).append(now)
+        self.start(
+            request[1], now, request[4], request[2], request[3], pre_tick
+        )
+
+    def drain(self, now: float) -> None:
+        """Dispatch while servers are free (pre-tick: a capacity step)."""
+        while self.queued and self.busy < self.cap:
+            self.dispatch(now, True)
+
+    def admit(self, request: tuple, now: float) -> None:
+        qseq, app_id, orig_seq, attempt, orig_arrival = request
+        if not self.state.admit(app_id):
+            self.shed_drop(now)
+            return
+        if self.busy < self.cap:
+            self.observe_app(self.app_names[app_id])
+            self.start(app_id, now, orig_arrival, orig_seq, attempt, True)
+        elif len(self.queued) < self.qmax:
+            self.observe_app(self.app_names[app_id])
+            key = self.prefixes[app_id] + (qseq,)
+            if self.fifo_rack and qseq < self.n:
+                self.fifo_queue.append(request)
+            else:
+                heappush(self.qheap, key + request[1:])
+                if qseq >= self.n:
+                    self.reinjected += 1
+            self.queued[qseq] = (now, key)
+            self.enqueued.append(now)
+            if self.timeout is not None:
+                heappush(
+                    self.timers,
+                    (now + self.timeout, next(self.timer_counter), request),
+                )
+        else:
+            self.fail(
+                app_id, orig_seq, attempt, orig_arrival, REASON_QUEUE_FULL, now
+            )
+
+    def complete(self, row: tuple) -> None:
+        """Record one serially retired row."""
+        done, _, arrival, app_id, _, _ = row
+        latency = done - arrival
+        if self.windows:
+            self.state.record_completion(app_id, latency)
+        self.done_times.append(done)
+        self.done_latencies.append(latency)
+        self.done_apps.append(app_id)
+        self.busy -= 1
+
+    def complete_columns(self, cols: List[np.ndarray]) -> None:
+        """Record a retired run slice."""
+        done, arrival, app = cols[0], cols[2], cols[3]
+        latency = done - arrival
+        if self.windows:
+            for app_id, value in zip(app.tolist(), latency.tolist()):
+                self.state.record_completion(app_id, value)
+        self._spill_done()
+        self.done_parts.append((done, latency, app))
+        self.busy -= len(done)
+
+    def retire(self, now: float) -> None:
+        """Fire every completion strictly before ``now``.
+
+        While requests wait, each completion frees a server for the
+        current min-key request and they fire one by one; once the
+        queue is empty the rest retire in bulk.
+        """
+        queued = self.queued
+        flight = self.flight
+        while queued and flight.next_time() < now:
+            row = flight.pop()
+            self.complete(row)
+            if self.busy < self.cap:
+                self.dispatch(row[0], False)
+        self.retire_bulk(now)
+
+    def retire_bulk(self, now: float) -> None:
+        """Retire every completion strictly before ``now``, dispatching
+        nothing."""
+        rows, cols = self.flight.retire_before(now)
+        for row in rows:
+            self.complete(row)
+        if cols is not None:
+            self.complete_columns(cols)
+
+    # ---- ranked events -------------------------------------------------
+
+    def on_fault(self, k: int) -> None:
+        """Surviving-capacity step ``k``; crashes kill."""
+        t = self.fault_times[k]
+        self.surviving = int(self.fault_caps[k])
+        if self.surviving < self.busy:
+            # The in-flight requests that would finish last die, down
+            # to the surviving machine count.
+            for row in self.flight.kill(self.busy - self.surviving):
+                self.busy -= 1
+                self.crash_kills += 1
+                self.kills.append(t)
+                self.fail(row[3], row[4], row[5], row[2], REASON_CRASHED, t)
+        self.cap = min(self.state.live, self.surviving)
+        self.drain(t)
+
+    def earliest_enqueue(self) -> float:
+        """The earliest enqueue time among waiting requests.
+
+        On a FIFO rack trace requests wait in arrival order, so only the
+        first live one and the re-injected ones can hold it.
+        """
+        queued = self.queued
+        if not self.fifo_rack:
+            return min(e for e, _ in queued.values())
+        fifo = self.fifo_queue
+        head = self.fifo_head
+        while head < len(fifo) and fifo[head][0] not in queued:
+            head += 1
+        self.fifo_head = head
+        earliest = fifo[head][4] if head < len(fifo) else _INF
+        if self.reinjected:
+            earliest = min(
+                earliest,
+                min(queued[entry[-5]][0] for entry in self.live_qheap()),
+            )
+        return earliest
+
+    def live_qheap(self) -> List[tuple]:
+        """The key heap without its stale entries.
+
+        A FIFO rack pops this heap only once no trace request waits, so
+        the entries of re-injected requests that timed out or were shed
+        would otherwise pile up.
+        """
+        queued = self.queued
+        self.qheap = [entry for entry in self.qheap if entry[-5] in queued]
+        heapify(self.qheap)
+        return self.qheap
+
+    def on_decision(self, t: float) -> None:
+        state = self.state
+        queued = self.queued
+        head_wait = None
+        if queued:
+            head_wait = t - self.earliest_enqueue()
+        shed_count, activation = state.on_tick(
+            t, self.busy, len(queued), head_wait
+        )
+        if shed_count:
+            victims = state.shed_victims(
+                [(qseq, key) for qseq, (_, key) in queued.items()],
+                shed_count,
+            )
+            for qseq in victims:
+                self.unqueue(qseq)
+                self.dequeued_pre.append(t)
+                self.shed_drop(t)
+        if activation is not None:
+            heappush(
+                self.activations,
+                (activation[0], next(self.activation_counter), activation[1]),
+            )
+        self.cap = min(state.live, self.surviving)
+        self.drain(t)
+
+    def on_activation(self) -> None:
+        t, _, target = heappop(self.activations)
+        self.state.activate(t, target)
+        self.cap = min(self.state.live, self.surviving)
+        self.drain(t)
+
+    def on_timer(self) -> None:
+        t, _, request = heappop(self.timers)
+        if request[0] in self.queued:  # may have been served by a drain
+            self.unqueue(request[0])
+            self.dequeued_pre.append(t)
+            self.timeouts += 1
+            self.fail(
+                request[1], request[2], request[3], request[4],
+                REASON_TIMEOUT, t,
+            )
+
+    # ---- batched passes ------------------------------------------------
+
+    def pass_a(
+        self, i: int, t_fault: float, t_control: float, t_injected: float
+    ) -> int:
+        """Serve a contention-free window from chunk index ``i``; returns
+        the index of the first arrival it left.
+
+        The window is cut at the chunk end, the next fault and control
+        event (both ranked before arrivals: equal-time arrivals
+        excluded), the next injected re-arrival (ranked after:
+        equal-time included) and the first admitted arrival that would
+        queue.
+        """
+        arrivals = self.arrivals
+        n_chunk = len(self.arrivals_list)
+        hi = min(n_chunk, i + self.window_size)
+        if t_fault < _INF:
+            hi = i + int(np.searchsorted(arrivals[i:hi], t_fault, side="left"))
+        if t_control < _INF:
+            hi = i + int(
+                np.searchsorted(arrivals[i:hi], t_control, side="left")
+            )
+        if t_injected < _INF:
+            hi = i + int(
+                np.searchsorted(arrivals[i:hi], t_injected, side="right")
+            )
+        m = hi - i
+        arr = arrivals[i:hi]
+        ids = self.app_ids[i:hi]
+        state = self.state
+        # Arrival gate over the window.  No refill interleaves (windows
+        # are cut at control events), so the mask equals the oracle's
+        # arrival-by-arrival decisions.
+        if self.gating:
+            mask = state.gate_mask(ids)
+            all_admitted = bool(mask.all())
+        else:
+            mask = None
+            all_admitted = True
+        if all_admitted:
+            positions = None
+            arr_adm = arr
+            ids_adm = ids
+            n_adm = m
+        else:
+            positions = np.nonzero(mask)[0]
+            n_adm = int(positions.size)
+            arr_adm = arr[positions]
+            ids_adm = ids[positions]
+        if n_adm == 0:
+            # Every arrival in the window is shed: no capacity
+            # interaction, the whole window commits as drops.
+            self.drop_times.extend(arr.tolist())
+            self.drop_reasons.extend([REASON_SHED] * m)
+            self.window_size = min(self.window_size * 2, _WINDOW_MAX)
+            return hi
+        hedge = self.hedge
+        if hedge is not None:
+            draw_ids = np.repeat(ids_adm, 2)
+            values, events, snapshot = self.pools.peek(draw_ids)
+            first = values[0::2]
+            backup = values[1::2]
+        else:
+            draw_ids = ids_adm
+            values, events, snapshot = self.pools.peek(ids_adm)
+            first = values
+        mults = (
+            self.timeline.multipliers(arr_adm)
+            if self.has_slowdowns
+            else np.ones(n_adm)
+        )
+        effective_first = mults * first
+        if hedge is not None:
+            alternative = hedge + mults * backup
+            effective = np.minimum(effective_first, alternative)
+        else:
+            effective = effective_first
+        comp_opt = arr_adm + effective
+        dep_pend = np.searchsorted(
+            self.flight.completions(), arr_adm, side="left"
+        )
+        dep_window = np.searchsorted(np.sort(comp_opt), arr_adm, side="left")
+        n_before = self.busy + np.arange(n_adm) - dep_pend - dep_window
+        crossing = np.nonzero(n_before >= self.cap)[0]
+        cut = int(crossing[0]) if crossing.size else n_adm
+        # cut >= 1: with busy < cap the first *admitted* arrival always
+        # fits, so progress is guaranteed.
+        if cut == n_adm:
+            committed = m
+        elif positions is None:
+            committed = cut
+        else:
+            committed = int(positions[cut])
+        self.pools.commit(
+            draw_ids,
+            2 * cut if hedge is not None else cut,
+            events,
+            snapshot,
+            self.n_apps,
+        )
+        state.consume(cut)
+        if positions is not None:
+            # Sheds below the committed boundary are final now; later
+            # ones re-run through the serial gate (which sees the
+            # post-spend token balance, as the oracle does).
+            shed_at = np.nonzero(~mask[:committed])[0]
+            self.drop_times.extend(arr[shed_at].tolist())
+            self.drop_reasons.extend([REASON_SHED] * int(shed_at.size))
+        for committed_id in np.unique(ids_adm[:cut]).tolist():
+            self.observe_app(self.app_names[committed_id])
+        if hedge is not None:
+            self.hedges_launched += int(
+                np.count_nonzero(effective_first[:cut] > hedge)
+            )
+            self.hedge_wins += int(
+                np.count_nonzero(alternative[:cut] < effective_first[:cut])
+            )
+        self.starts_pre.extend(arr_adm[:cut])
+        origs = (
+            np.arange(cut) if positions is None else positions[:cut]
+        ) + (self.base + i)
+        self.flight.add(
+            comp_opt[:cut], arr_adm[:cut], ids_adm[:cut], origs,
+            np.zeros(cut, dtype=np.int64), self.start_counter,
+        )
+        self.start_counter += cut
+        self.busy += cut
+        self.window_size = (
+            min(self.window_size * 2, _WINDOW_MAX)
+            if committed == m
+            else _WINDOW_MIN
+        )
+        return i + committed
+
+    def fifo_pass(self, i: int, cut: float, cut_rank: int) -> int:
+        """Serve arrivals from chunk index ``i`` on a congested FIFO rack;
+        returns the index of the first trace arrival it left.
+
+        Entered at a trace arrival with every server busy or requests
+        waiting, and runs to ``cut`` — the next fault (``cut_rank`` 0)
+        or control event (2) — or, at the chunk end, to just after the
+        last trace arrival (an equal-time injected one waits for the
+        next chunk, whose arrivals rank first).  It walks the FCFS
+        kernel's virtual-server recurrence over the ``cap`` server-free
+        times (the latest completions in service) in the oracle's event
+        order: before each arrival, the earliest timer fires if it ranks
+        before the next server-free time, else that server starts the
+        head trace request or, with none waiting, the re-injected one
+        with the smallest key; each trace or injected arrival then
+        passes the gate, starts at once when a server was free before
+        it, waits when the queue has room, or fails queue-full, a retry
+        re-arriving inside the pass when it lands before the cut.
+        Services are drawn at each start, in the oracle's order, so
+        nothing is tentative.  Requests still waiting at the end stay
+        queued with their enqueue times, keys and timers.
+
+        Ranks are doubled to stay integral: fault 0, control 2, timer 4,
+        trace arrival 6, chunk end 7, injected arrival 8.
+        """
+        arrivals = self.arrivals_list
+        ids = self.ids_list
+        n_chunk = len(arrivals)
+        base = self.base
+        state = self.state
+        fifo = self.fifo_queue
+        queued = self.queued
+        injected = self.injected
+        fail = self.fail
+        drop_times = self.drop_times
+        drop_reasons = self.drop_reasons
+        timeout = self.timeout
+        timed = timeout is not None
+        key = self.prefixes[0]  # the one key prefix of a FIFO rack
+        qmax = self.qmax
+        gating = self.gating
+        blocked = state.app_blocked.tolist()
+        tokens = (
+            int(state.tokens) if gating and state.tokens is not None else _INF
+        )
+        spent = 0
+        observed = [False] * self.n_apps
+        reader = self.reader
+        runs = reader.runs
+        read = reader.read
+        refill = reader.refill
+        adjust = (
+            self._adjuster(arrivals[i])
+            if self.has_slowdowns or self.hedge is not None
+            else None
+        )
+        avail = self.flight.latest(self.cap)  # server-free times, a heap
+        # Waiting trace requests sit in ``fifo`` from ``h`` on (stale
+        # entries only before ``old_end``); re-injected ones in the key
+        # heap, with their timers in ``rtimers`` as (deadline, enqueue
+        # time, qseq, request).
+        old_end = len(fifo)
+        h = self.fifo_head
+        r_waiting = self.reinjected
+        t_waiting = len(queued) - r_waiting
+        qheap = self.live_qheap() if r_waiting else self.qheap
+        rtimers: List[tuple] = []
+        if r_waiting:
+            if timed:
+                for entry in qheap:
+                    entered = queued[entry[-5]][0]
+                    rtimers.append(
+                        (entered + timeout, entered, entry[-5], entry[-5:])
+                    )
+                heapify(rtimers)
+        r_fresh: List[tuple] = []  # (enqueue time, request) queued here
+        # Starts in start order: requests and completions, with the
+        # queue-pop start times and the immediate ones apart (they rank
+        # after and before an equal-time sample tick).
+        begun: List[tuple] = []
+        dones: List[float] = []
+        popped: List[float] = []
+        immediate: List[float] = []
+        enqueued: List[float] = []
+        timed_out: List[float] = []
+        last = arrivals[n_chunk - 1]
+        if last < cut:
+            end, end_rank = last, 7
+        else:
+            end, end_rank = cut, cut_rank
+
+        j = i
+        while True:
+            # The next arrival: a trace one ranks before an injected one.
+            if j < n_chunk and (not injected or arrivals[j] <= injected[0][0]):
+                t, rank = arrivals[j], 6
+            elif injected:
+                t, rank = injected[0][0], 8
+            else:
+                t, rank = _INF, 8
+            take = t < end or (t == end and rank < end_rank)
+            if take:
+                bound, timers_in = t, True
+            else:
+                bound, timers_in = end, end_rank > 4
+            # Queue events ranked before the bound.
+            while t_waiting or r_waiting:
+                free = avail[0]
+                if t_waiting:
+                    entry = fifo[h]
+                    if h < old_end and entry[0] not in queued:
+                        h += 1  # timed out or shed before this pass
+                        continue
+                if timed:
+                    deadline = entry[4] + timeout if t_waiting else _INF
+                    r_deadline = _INF
+                    while rtimers:
+                        if rtimers[0][2] in queued:
+                            r_deadline = rtimers[0][0]
+                            break
+                        heappop(rtimers)  # started already
+                    # Equal deadlines fire in enqueue order: time, then
+                    # a trace arrival before an injected one.
+                    r_first = r_deadline < deadline or (
+                        r_deadline == deadline < _INF
+                        and rtimers[0][1] < entry[4]
+                    )
+                    fire = r_deadline if r_first else deadline
+                    if fire <= free:
+                        # A timer ranks before an equal-time completion.
+                        if fire > bound or (fire == bound and not timers_in):
+                            break
+                        if r_first:
+                            _, _, qseq, request = heappop(rtimers)
+                            del queued[qseq]
+                            r_waiting -= 1
+                        else:
+                            request = entry
+                            if h < old_end:
+                                del queued[entry[0]]
+                            h += 1
+                            t_waiting -= 1
+                        timed_out.append(fire)
+                        fail(
+                            request[1], request[2], request[3], request[4],
+                            REASON_TIMEOUT, fire,
+                        )
+                        if injected and injected[0][0] < t:
+                            break  # its retry re-arrives first
+                        continue
+                if free >= bound:
+                    break
+                if t_waiting:
+                    request = entry
+                    if h < old_end:
+                        del queued[entry[0]]
+                    h += 1
+                    t_waiting -= 1
+                else:
+                    while qheap[0][-5] not in queued:
+                        heappop(qheap)
+                    request = heappop(qheap)[-5:]
+                    del queued[request[0]]
+                    r_waiting -= 1
+                app_id = request[1]
+                r = read[app_id]
+                try:
+                    service = runs[app_id][r]
+                except IndexError:
+                    service = refill(app_id)
+                else:
+                    read[app_id] = r + 1
+                if adjust is not None:
+                    service = adjust(app_id, free, service)
+                done = free + service
+                heapreplace(avail, done)
+                popped.append(free)
+                begun.append(request)
+                dones.append(done)
+            if injected and injected[0][0] < t:
+                continue  # a timeout's retry re-arrives before arrival t
+            if not take:
+                break
+            if rank == 6:
+                app_id = ids[j]
+                qseq = base + j
+                request = (qseq, app_id, qseq, 0, t)
+                j += 1
+            else:
+                request = heappop(injected)[2]
+                qseq, app_id = request[0], request[1]
+            if gating:
+                if blocked[app_id] or tokens <= spent:
+                    drop_times.append(t)
+                    drop_reasons.append(REASON_SHED)
+                    continue
+                spent += 1
+            if avail[0] < t:
+                # A server was free before the arrival: nobody waits,
+                # and the arrival starts at once.
+                r = read[app_id]
+                try:
+                    service = runs[app_id][r]
+                except IndexError:
+                    service = refill(app_id)
+                else:
+                    read[app_id] = r + 1
+                if adjust is not None:
+                    service = adjust(app_id, t, service)
+                done = t + service
+                heapreplace(avail, done)
+                immediate.append(t)
+                begun.append(request)
+                dones.append(done)
+            elif t_waiting + r_waiting < qmax:
+                enqueued.append(t)
+                if rank == 6:
+                    fifo.append(request)
+                    t_waiting += 1
+                else:
+                    heappush(qheap, key + request)
+                    queued[qseq] = (t, key + (qseq,))
+                    r_waiting += 1
+                    r_fresh.append((t, request))
+                    if timed:
+                        heappush(rtimers, (t + timeout, t, qseq, request))
+            else:
+                fail(
+                    app_id, request[2], request[3], request[4],
+                    REASON_QUEUE_FULL, t,
+                )
+                continue
+            if not observed[app_id]:
+                observed[app_id] = True
+                self.observe_app(self.app_names[app_id])
+
+        reader.close()
+        self.fifo_head = h
+        self.reinjected = r_waiting
+        # The trace requests this pass queued and left waiting get their
+        # keys; every request it queued and left waiting gets its timer,
+        # pushed in enqueue order (equal deadlines fire in push order).
+        fresh = fifo[max(h, old_end) :]
+        for entry in fresh:
+            queued[entry[0]] = (entry[4], key + (entry[0],))
+        if timed:
+            waiting = [(entry[4], 0, entry[0], entry) for entry in fresh]
+            if r_fresh:
+                waiting += [
+                    (entered, 1, request[0], request)
+                    for entered, request in r_fresh
+                    if request[0] in queued
+                ]
+                waiting.sort()
+            for entered, _, _, request in waiting:
+                heappush(
+                    self.timers,
+                    (entered + timeout, next(self.timer_counter), request),
+                )
+        if h > 4096 and 2 * h > len(fifo):
+            del fifo[:h]
+            self.fifo_head = 0
+        state.consume(spent)
+        self.timeouts += len(timed_out)
+        for log, times in (
+            (self.starts_pre, immediate),
+            (self.enqueued, enqueued),
+            (self.dequeued_pre, timed_out),
+            (self.dequeued_post, popped),
+            (self.starts_post, popped),
+        ):
+            if times:
+                log.extend(np.array(times))
+        if begun:
+            _, app, orig, attempt, arrival = zip(*begun)
+            self.flight.add(
+                np.array(dones),
+                np.array(arrival),
+                np.array(app, dtype=np.intp),
+                np.array(orig, dtype=np.int64),
+                np.array(attempt, dtype=np.int64),
+                self.start_counter,
+            )
+            self.start_counter += len(begun)
+            self.busy += len(begun)
+        # The completions the recurrence passed through: every one
+        # ranked before the end.
+        self.retire_bulk(end)
+        return j
+
+    def _adjuster(self, now: float):
+        """``adjust(app_id, start, sample)`` -> effective service time:
+        the slowdown multiplier at the start (start times must not
+        decrease from ``now`` on) and the hedged backup, as
+        :meth:`start` applies them."""
+        slow_starts = self.slow_starts
+        slow_ends = self.slow_ends
+        n_slow = len(slow_starts)
+        slow_mult = self.timeline.slowdown_multiplier
+        hedge = self.hedge
+        reader = self.reader
+        runs = reader.runs
+        read = reader.read
+        position = bisect_right(slow_starts, now)
+
+        def adjust(app_id: int, start: float, sample: float) -> float:
+            nonlocal position
+            while position < n_slow and slow_starts[position] <= start:
+                position += 1
+            mult = 1.0
+            if position and start < slow_ends[position - 1]:
+                mult = slow_mult
+            effective = mult * sample
+            if hedge is not None:
+                r = read[app_id]
+                try:
+                    backup = runs[app_id][r]
+                except IndexError:
+                    backup = reader.refill(app_id)
+                else:
+                    read[app_id] = r + 1
+                alternative = hedge + mult * backup
+                if effective > hedge:
+                    self.hedges_launched += 1
+                if alternative < effective:
+                    self.hedge_wins += 1
+                    effective = alternative
+            return effective
+
+        return adjust
+
+    # ---- the next-event loop -------------------------------------------
+
+    def run(self, chunks) -> None:
+        fault_times = self.fault_times
+        n_faults = len(fault_times)
+        ctrl_times = self.ctrl_times
+        n_ctrl = len(ctrl_times)
+        activations = self.activations
+        timers = self.timers
+        injected = self.injected
+        queued = self.queued
+        fifo_rack = self.fifo_rack
+        flight = self.flight
+        n_chunk = 0
+        i = 0  # chunk-local index of the next trace arrival
+        k = 0  # next fault event
+        jc = 0  # next decision tick
+        while True:
+            if i == n_chunk and chunks is not None:
+                # The next trace arrival opens the next chunk: fetch it
+                # before ranking events, folding the finished chunk's.
+                fetched = next(chunks, None)
+                if fetched is None:
+                    chunks = None
+                else:
+                    if n_chunk:
+                        self.fold()
+                        self.pools.compact()
+                    self.base += n_chunk
+                    self.arrivals, self.app_ids = fetched
+                    self.arrivals_list = self.arrivals.tolist()
+                    self.ids_list = self.app_ids.tolist()
+                    n_chunk = len(self.arrivals_list)
+                    i = 0
+            if not queued:
+                if timers:
+                    timers.clear()
+            else:
+                while timers and timers[0][2][0] not in queued:
+                    heappop(timers)
+
+            t_fault = fault_times[k] if k < n_faults else _INF
+            t_decision = ctrl_times[jc] if jc < n_ctrl else _INF
+            t_activation = activations[0][0] if activations else _INF
+            t_control = min(t_decision, t_activation)
+            t_timer = timers[0][0] if timers else _INF
+            t_trace = self.arrivals_list[i] if i < n_chunk else _INF
+            t_injected = injected[0][0] if injected else _INF
+            t_next = min(t_fault, t_control, t_timer, t_trace, t_injected)
+
+            # Completions strictly before the next ranked event fire
+            # first (completion has the last rank), in the canonical
+            # (completion, start order), feeding the telemetry window
+            # the controller reads at its next tick.
+            if flight.next_time() < t_next:
+                self.retire(t_next)
+            if t_next == _INF:
+                break
+
+            if t_fault == t_next:
+                self.on_fault(k)
+                k += 1
+            elif t_control == t_next:
+                # A decision tick ranks before a warmup activation.
+                if t_decision <= t_activation:
+                    jc += 1
+                    self.on_decision(t_decision)
+                else:
+                    self.on_activation()
+            elif t_timer == t_next:
+                self.on_timer()
+            elif t_trace == t_next and t_trace <= t_injected:
+                # A trace arrival ranks before an injected one.
+                if not (queued or self.busy >= self.cap):
+                    i = self.pass_a(i, t_fault, t_control, t_injected)
+                elif fifo_rack:
+                    if t_fault <= t_control:
+                        i = self.fifo_pass(i, t_fault, 0)
+                    else:
+                        i = self.fifo_pass(i, t_control, 2)
+                else:
+                    self.admit(
+                        (self.base + i, self.ids_list[i], self.base + i, 0,
+                         t_trace),
+                        t_trace,
+                    )
+                    i += 1
+            else:
+                _, _, request = heappop(injected)
+                self.admit(request, t_injected)
+
+
 def control_kernel(
     sim: "RackSimulation",
     policy: "KeyedPolicy",
@@ -466,503 +1673,34 @@ def control_kernel(
     A next-event loop over faults, control events (decision ticks,
     warmup activations), timeout timers, trace arrivals, injected
     re-arrivals and completions, ordered by the module's rank rule.
-    Whenever the next event is a trace arrival with an empty queue and
-    capacity to spare, a whole contention-free window is served at once
-    — cut at the first admitted arrival that would queue, at the next
-    fault and control event, at the next injected re-arrival and at the
-    chunk end — with the arrival gate applied as a vectorized mask
-    (token spend committed only for the admitted prefix that actually
-    starts) and tentative service draws rolled back exactly as in the
-    fault-free kernels; shed arrivals never touch the RNG.  In-flight
-    starts live in a ``flight`` dict, so completions fold at
-    pending-heap pops, already in canonical (completion, start order).
-    Folds into ``sink`` at every chunk boundary after the first and
-    once at the end; pools compact at the same boundaries.  An inert
-    plane fires no decision ticks and records no control telemetry.
+    Trace arrivals are served in batches wherever they can be:
+
+    - with an empty queue and capacity to spare, a contention-free
+      window goes through pass A (:meth:`_ControlRun.pass_a`), cut at
+      the first admitted arrival that would queue, the next fault and
+      control event, the next injected re-arrival and the chunk end,
+      with the arrival gate as a vectorized mask (token spend committed
+      only for the admitted prefix that starts) and tentative service
+      draws rolled back as in the fault-free kernels;
+    - on a congested rack whose catalog shares one key prefix (FCFS),
+      the FIFO pass (:meth:`_ControlRun.fifo_pass`) serves trace and
+      injected arrivals up to the next fault, control event or chunk
+      end through the virtual-server recurrence, with the gate,
+      queue-full failures, timeouts and retries inline;
+    - otherwise (a keyed queue) an arrival steps serially through the
+      keyed dispatch.
+
+    In-flight requests live in one columnar :class:`_InFlight`, so
+    completions come out in canonical (completion, start order) — one
+    bisect and array slices while the queue is empty, one by one while
+    they dispatch waiting requests.  Folds into ``sink`` at every chunk
+    boundary after the first and once at the end; pools compact at the
+    same boundaries.  An inert plane fires no decision ticks and
+    records no control telemetry.
     """
-    n = source.total_requests
-    qmax = sim._queue_depth
-    timeout = retry.timeout_seconds
-    hedge = retry.hedge_after_seconds
-    max_retries = retry.max_retries
-    multiplier_at = timeline.multiplier_at
-    observe_app = policy.observe_app
-    service_time = sim._service_time
-
-    app_names = list(source.app_catalog)
-    n_apps = len(app_names)
-    pools = _ServicePools(sim, app_names)
-    prefixes = [policy.key.key_for(name) for name in app_names]
-
-    state = ControllerState(plane, sim._max_instances, app_names)
-    controlled = plane.active
-    windows = state.windows_active
-    gating = state.gating_active
-    surviving = timeline.initial_capacity
-    cap = min(state.live, surviving)
-
-    fault_times = timeline.times.tolist()
-    fault_caps = timeline.capacities.tolist()
-    n_faults = len(fault_times)
-    has_slowdowns = len(timeline.slow_starts) > 0
-
-    ctrl_times = _decision_ticks(source, plane)
-    n_ctrl = len(ctrl_times)
-    jc = 0
-    activations: List[Tuple[float, int, int]] = []  # (time, order, target)
-    activation_counter = count()
-
-    # Tick-visible event logs.  ``pre`` events rank before an equal-time
-    # sample tick (visible to it), ``post`` events after it.
-    ticks = sink.sample_times
-    starts_pre = TickLog(ticks, inclusive=True)
-    starts_post = TickLog(ticks, inclusive=False)
-    enqueued = TickLog(ticks, inclusive=True)
-    dequeued_pre = TickLog(ticks, inclusive=True)
-    dequeued_post = TickLog(ticks, inclusive=False)
-    kills = TickLog(ticks, inclusive=True)
-    completion_log = TickLog(ticks, inclusive=False)
-    logs = (
-        starts_pre, starts_post, enqueued, dequeued_pre, dequeued_post,
-        kills, completion_log,
-    )
-    done_times: List[float] = []
-    done_latencies: List[float] = []
-    done_apps: List[int] = []
-    drop_times: List[float] = []
-    drop_reasons: List[int] = []
-
-    def fold() -> None:
-        if done_times:
-            times = np.array(done_times)
-            sink.fold_completions(
-                times,
-                np.array(done_latencies),
-                np.array(done_apps, dtype=np.int64) if controlled else None,
-            )
-            completion_log.extend(times)
-            done_times.clear()
-            done_latencies.clear()
-            done_apps.clear()
-        if drop_times:
-            sink.fold_drops(
-                np.array(drop_times), np.array(drop_reasons, dtype=np.int8)
-            )
-            drop_times.clear()
-            drop_reasons.clear()
-        for log in logs:
-            log.count()
-
-    # Queue entries: ``prefix + request`` where a request is the tuple
-    # ``(qseq, app_id, orig_seq, attempt, orig_arrival)``.
-    qheap: List[tuple] = []
-    # qseq -> (enqueue time, heap sort key); doubles as the queued set.
-    queued: Dict[int, Tuple[float, tuple]] = {}
-    timers: List[tuple] = []  # (deadline, push order, request)
-    injected: List[tuple] = []  # (time, push order, request)
-    pending: List[Tuple[float, int]] = []  # (completion, start_seq), live only
-    # start_seq -> (completion, orig_arrival, orig_seq, attempt, app_id)
-    flight: Dict[int, Tuple[float, float, int, int, int]] = {}
-    timer_counter = count()
-    injected_counter = count()
-    busy = 0
-    start_counter = 0
-    retry_counter = 0
-    retries = timeouts = crash_kills = 0
-    hedges_launched = hedge_wins = 0
-
-    def start(
-        app_id: int,
-        now: float,
-        orig_arrival: float,
-        orig_seq: int,
-        attempt: int,
-        pre_tick: bool,
-    ) -> None:
-        nonlocal busy, start_counter, hedges_launched, hedge_wins
-        sample = service_time(app_names[app_id])
-        mult = multiplier_at(now)
-        effective = mult * sample
-        if hedge is not None:
-            backup = service_time(app_names[app_id])
-            alternative = hedge + mult * backup
-            if effective > hedge:
-                hedges_launched += 1
-            if alternative < effective:
-                hedge_wins += 1
-                effective = alternative
-        done = now + effective
-        seq = start_counter
-        start_counter += 1
-        flight[seq] = (done, orig_arrival, orig_seq, attempt, app_id)
-        heappush(pending, (done, seq))
-        busy += 1
-        (starts_pre if pre_tick else starts_post).append(now)
-
-    def fail(
-        app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
-        reason: int, now: float,
-    ) -> None:
-        nonlocal retries, retry_counter
-        if windows:
-            state.record_failure(app_id)
-        if attempt < max_retries:
-            retries += 1
-            delay = retry.backoff_seconds(orig_seq, attempt)
-            reattempt = (
-                n + retry_counter, app_id, orig_seq, attempt + 1, orig_arrival
-            )
-            retry_counter += 1
-            heappush(
-                injected, (now + delay, next(injected_counter), reattempt)
-            )
-        else:
-            drop_times.append(now)
-            drop_reasons.append(reason)
-
-    def shed_drop(now: float) -> None:
-        drop_times.append(now)
-        drop_reasons.append(REASON_SHED)
-
-    def dispatch(now: float, pre_tick: bool) -> None:
-        while True:
-            entry = heappop(qheap)
-            request = entry[-5:]
-            if request[0] in queued:
-                break
-        queued.pop(request[0])
-        (dequeued_pre if pre_tick else dequeued_post).append(now)
-        start(request[1], now, request[4], request[2], request[3], pre_tick)
-
-    def admit(request: tuple, now: float) -> None:
-        qseq, app_id, orig_seq, attempt, orig_arrival = request
-        if not state.admit(app_id):
-            shed_drop(now)
-            return
-        if busy < cap:
-            observe_app(app_names[app_id])
-            start(app_id, now, orig_arrival, orig_seq, attempt, True)
-        elif len(queued) < qmax:
-            observe_app(app_names[app_id])
-            entry = prefixes[app_id] + request
-            heappush(qheap, entry)
-            queued[qseq] = (now, entry[:-4])
-            enqueued.append(now)
-            if timeout is not None:
-                heappush(timers, (now + timeout, next(timer_counter), request))
-        else:
-            fail(app_id, orig_seq, attempt, orig_arrival, REASON_QUEUE_FULL, now)
-
-    chunks = checked_chunks(source, chunk_requests)
-    arrivals = np.empty(0)
-    app_ids = np.empty(0, dtype=np.intp)
-    arrivals_list: List[float] = []
-    ids_list: List[int] = []
-    n_chunk = 0
-    base = 0  # global trace index of the chunk's first request
-    i = 0  # chunk-local index of the next trace arrival
-    k = 0  # next fault event
-    window_size = _WINDOW_MIN
-    while True:
-        if i == n_chunk and chunks is not None:
-            # The next trace arrival opens the next chunk: fetch it
-            # before ranking events, folding the finished chunk's.
-            fetched = next(chunks, None)
-            if fetched is None:
-                chunks = None
-            else:
-                if n_chunk:
-                    fold()
-                    pools.compact()
-                base += n_chunk
-                arrivals, app_ids = fetched
-                arrivals_list = arrivals.tolist()
-                ids_list = app_ids.tolist()
-                n_chunk = len(arrivals_list)
-                i = 0
-        if not queued:
-            if timers:
-                timers.clear()
-        else:
-            while timers and timers[0][2][0] not in queued:
-                heappop(timers)
-
-        t_fault = fault_times[k] if k < n_faults else _INF
-        t_decision = ctrl_times[jc] if jc < n_ctrl else _INF
-        t_activation = activations[0][0] if activations else _INF
-        t_control = min(t_decision, t_activation)
-        t_timer = timers[0][0] if timers else _INF
-        t_trace = arrivals_list[i] if i < n_chunk else _INF
-        t_injected = injected[0][0] if injected else _INF
-        t_next = min(t_fault, t_control, t_timer, t_trace, t_injected)
-
-        # Completions strictly before the next ranked event fire first
-        # (completion has the last rank), each freeing a server for the
-        # current min-key queued request and feeding the telemetry
-        # window the controller reads at its next tick.  Pops come in
-        # the canonical (completion, start order).
-        while pending and pending[0][0] < t_next:
-            done, seq = heappop(pending)
-            busy -= 1
-            record = flight.pop(seq)
-            latency = done - record[1]
-            if windows:
-                state.record_completion(record[4], latency)
-            done_times.append(done)
-            done_latencies.append(latency)
-            done_apps.append(record[4])
-            if queued and busy < cap:
-                dispatch(done, False)
-        if t_next == _INF:
-            break
-
-        # ---- Fault event: surviving-capacity step -------------------
-        if t_fault == t_next:
-            surviving = int(fault_caps[k])
-            k += 1
-            if surviving < busy:
-                # Crashes kill: the in-flight requests that would finish
-                # last die, down to the surviving machine count.
-                shortfall = busy - surviving
-                victims = sorted(
-                    (record[0], seq) for seq, record in flight.items()
-                )[-shortfall:]
-                doomed = {seq for _, seq in victims}
-                for _, seq in reversed(victims):
-                    record = flight.pop(seq)
-                    busy -= 1
-                    crash_kills += 1
-                    kills.append(t_fault)
-                    fail(
-                        record[4], record[2], record[3], record[1],
-                        REASON_CRASHED, t_fault,
-                    )
-                pending = [e for e in pending if e[1] not in doomed]
-                heapify(pending)
-            cap = min(state.live, surviving)
-            while queued and busy < cap:
-                dispatch(t_fault, True)
-            continue
-
-        # ---- Control event (decision tick before warmup activation) -
-        if t_control == t_next:
-            if t_decision <= t_activation:
-                t = t_decision
-                jc += 1
-                head_wait = None
-                if queued:
-                    head_wait = t - min(e for e, _ in queued.values())
-                shed_count, activation = state.on_tick(
-                    t, busy, len(queued), head_wait
-                )
-                if shed_count:
-                    victims = state.shed_victims(
-                        [(qseq, key) for qseq, (_, key) in queued.items()],
-                        shed_count,
-                    )
-                    for qseq in victims:
-                        queued.pop(qseq)
-                        dequeued_pre.append(t)
-                        shed_drop(t)
-                if activation is not None:
-                    heappush(
-                        activations,
-                        (activation[0], next(activation_counter),
-                         activation[1]),
-                    )
-            else:
-                t, _, target = heappop(activations)
-                state.activate(t, target)
-            cap = min(state.live, surviving)
-            while queued and busy < cap:
-                dispatch(t, True)
-            continue
-
-        # ---- Timeout timer ------------------------------------------
-        if t_timer == t_next:
-            _, _, request = heappop(timers)
-            if request[0] in queued:  # may have been served by a drain
-                queued.pop(request[0])
-                dequeued_pre.append(t_timer)
-                timeouts += 1
-                fail(
-                    request[1], request[2], request[3], request[4],
-                    REASON_TIMEOUT, t_timer,
-                )
-            continue
-
-        # ---- Trace arrival (before an injected one at the same time) -
-        if t_trace == t_next and t_trace <= t_injected:
-            if queued or busy >= cap:
-                admit((base + i, ids_list[i], base + i, 0, t_trace), t_trace)
-                i += 1
-                continue
-            # Pass A: contention-free window, cut at the chunk end, the
-            # next fault and control event (both ranked before
-            # arrivals: equal-time arrivals excluded) and the next
-            # injected re-arrival (ranked after: equal-time included).
-            hi = min(n_chunk, i + window_size)
-            if k < n_faults:
-                hi = i + int(
-                    np.searchsorted(arrivals[i:hi], t_fault, side="left")
-                )
-            if t_control < _INF:
-                hi = i + int(
-                    np.searchsorted(arrivals[i:hi], t_control, side="left")
-                )
-            if injected:
-                hi = i + int(
-                    np.searchsorted(arrivals[i:hi], t_injected, side="right")
-                )
-            m = hi - i
-            arr = arrivals[i:hi]
-            ids = app_ids[i:hi]
-            # Arrival gate over the window.  No refill interleaves
-            # (windows are cut at control events), so the mask equals
-            # the oracle's arrival-by-arrival decisions.
-            if gating:
-                mask = state.gate_mask(ids)
-                all_admitted = bool(mask.all())
-            else:
-                mask = None
-                all_admitted = True
-            if all_admitted:
-                positions = None
-                arr_adm = arr
-                ids_adm = ids
-                n_adm = m
-            else:
-                positions = np.nonzero(mask)[0]
-                n_adm = int(positions.size)
-                arr_adm = arr[positions]
-                ids_adm = ids[positions]
-            if n_adm == 0:
-                # Every arrival in the window is shed: no capacity
-                # interaction, the whole window commits as drops.
-                drop_times.extend(arr.tolist())
-                drop_reasons.extend([REASON_SHED] * m)
-                i = hi
-                window_size = min(window_size * 2, _WINDOW_MAX)
-                continue
-            if hedge is not None:
-                draw_ids = np.repeat(ids_adm, 2)
-                values, events, snapshot = pools.peek(draw_ids)
-                first = values[0::2]
-                backup = values[1::2]
-            else:
-                draw_ids = ids_adm
-                values, events, snapshot = pools.peek(ids_adm)
-                first = values
-            mults = (
-                timeline.multipliers(arr_adm)
-                if has_slowdowns
-                else np.ones(n_adm)
-            )
-            effective_first = mults * first
-            if hedge is not None:
-                alternative = hedge + mults * backup
-                effective = np.minimum(effective_first, alternative)
-            else:
-                effective = effective_first
-            comp_opt = arr_adm + effective
-            pend_times = np.sort(
-                np.fromiter(
-                    (e[0] for e in pending),
-                    dtype=np.float64,
-                    count=len(pending),
-                )
-            )
-            dep_pend = np.searchsorted(pend_times, arr_adm, side="left")
-            dep_window = np.searchsorted(
-                np.sort(comp_opt), arr_adm, side="left"
-            )
-            n_before = busy + np.arange(n_adm) - dep_pend - dep_window
-            crossing = np.nonzero(n_before >= cap)[0]
-            cut = int(crossing[0]) if crossing.size else n_adm
-            # cut >= 1: with busy < cap the first *admitted* arrival
-            # always fits, so progress is guaranteed.
-            if cut == n_adm:
-                committed = m
-            elif positions is None:
-                committed = cut
-            else:
-                committed = int(positions[cut])
-            pools.commit(
-                draw_ids,
-                2 * cut if hedge is not None else cut,
-                events,
-                snapshot,
-                n_apps,
-            )
-            state.consume(cut)
-            if positions is not None:
-                # Sheds below the committed boundary are final now;
-                # later ones re-run through the serial gate (which sees
-                # the post-spend token balance, as the oracle does).
-                shed_at = np.nonzero(~mask[:committed])[0]
-                drop_times.extend(arr[shed_at].tolist())
-                drop_reasons.extend([REASON_SHED] * int(shed_at.size))
-            for committed_id in np.unique(ids_adm[:cut]):
-                observe_app(app_names[committed_id])
-            if hedge is not None:
-                hedges_launched += int(
-                    np.count_nonzero(effective_first[:cut] > hedge)
-                )
-                hedge_wins += int(
-                    np.count_nonzero(alternative[:cut] < effective_first[:cut])
-                )
-            starts_pre.extend(arr_adm[:cut])
-            started = arr_adm[:cut].tolist()
-            comps = comp_opt[:cut].tolist()
-            ids_cut = ids_adm[:cut].tolist()
-            origs = (
-                range(base + i, base + i + cut)
-                if positions is None
-                else (positions[:cut] + (base + i)).tolist()
-            )
-            for offset, orig_seq in enumerate(origs):
-                seq = start_counter + offset
-                flight[seq] = (
-                    comps[offset], started[offset], orig_seq, 0,
-                    ids_cut[offset],
-                )
-                pending.append((comps[offset], seq))
-            start_counter += cut
-            heapify(pending)
-            busy += cut
-            i += committed
-            window_size = (
-                min(window_size * 2, _WINDOW_MAX)
-                if committed == m
-                else _WINDOW_MIN
-            )
-            continue
-
-        # ---- Injected re-arrival ------------------------------------
-        _, _, request = heappop(injected)
-        admit(request, t_injected)
-
-    fold()
-    sink.busy_instances = (
-        starts_pre.series()
-        + starts_post.series()
-        - completion_log.series()
-        - kills.series()
-    )
-    sink.queue_depth = (
-        enqueued.series() - dequeued_pre.series() - dequeued_post.series()
-    )
-    if controlled:
-        sink.live_instances = _live_series(state, ticks)
-        sink.app_catalog = tuple(app_names)
-        sink.scale_ups = state.scale_ups
-        sink.scale_downs = state.scale_downs
-    sink.retries = retries
-    sink.timeouts = timeouts
-    sink.crash_kills = crash_kills
-    sink.hedges_launched = hedges_launched
-    sink.hedge_wins = hedge_wins
-    return sink.finalize()
+    run = _ControlRun(sim, policy, source, sink, timeline, retry, plane)
+    run.run(checked_chunks(source, chunk_requests))
+    return run.finalize()
 
 
 def run_control_vectorized(

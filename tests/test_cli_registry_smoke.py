@@ -56,3 +56,16 @@ def test_fast_profile_runs_and_round_trips(name, tmp_path, capsys):
     assert retable == table
     assert retable.provenance == provenance
     assert retable.params == table.params
+
+
+def test_rejected_flag_combination_is_a_usage_error(capsys):
+    """A ``ConfigurationError`` from the run (here: a chunk size the
+    default engine cannot use) exits 2 with a one-line error, not a
+    traceback."""
+    assert cli.main(["run", "fig13", "--fast", "--chunk-requests", "100"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro fig13: error:")
+    assert "chunk_requests" in lines[0]
+    assert captured.out == ""
