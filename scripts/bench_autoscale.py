@@ -17,10 +17,12 @@ retries), through
 
 checks the two are bit-identical (series incl. live-capacity and
 per-app completion records, ``shed`` drops, RNG end state), and writes
-the shared ``bench_common`` schema to ``BENCH_autoscale.json``.  A
-separate ``zero_control_overhead`` section times the same chaos study
-with an inert ``ControlPlane()`` attached, pinning the cost of the
-control layer at zero until it is enabled.
+the shared ``bench_common`` schema to ``BENCH_autoscale.json``.  Each
+engine's wall clock is the median of three alternating runs, so the
+recorded speedup does not move with the run window; ``--skip-event``
+times the kernel once.  A separate ``zero_control_overhead`` section
+times the same chaos study with an inert ``ControlPlane()`` attached,
+pinning the cost of the control layer at zero until it is enabled.
 
 Usage::
 
@@ -40,6 +42,7 @@ from bench_common import (
     engine_record,
     series_digest,
     timed,
+    timed_alternating,
     write_record,
 )
 
@@ -123,24 +126,24 @@ def main(argv=None) -> int:
         f"{PLANE.autoscaler.min_instances} floor, churn + shedding"
     )
 
-    work_items = 2 * len(trace)
-    (fast_series, fast_rng), fast_s = timed(
-        lambda: run_study(
-            context, trace, "vectorized", args.max_instances, args.seed,
-            PLANE,
+    def study(engine):
+        return lambda: run_study(
+            context, trace, engine, args.max_instances, args.seed, PLANE
         )
-    )
+
+    work_items = 2 * len(trace)
+    if args.skip_event:
+        (fast_series, fast_rng), fast_s = timed(study("vectorized"))
+    else:
+        (
+            ((fast_series, fast_rng), fast_s),
+            ((event_series, event_rng), event_s),
+        ) = timed_alternating(study("vectorized"), study("event"))
     fast = engine_record("control kernel", fast_s, work_items)
     print(f"vectorized:   {fast_s:8.2f}s  ({work_items / fast_s:9.0f} req/s)")
 
     oracle = None
     if not args.skip_event:
-        (event_series, event_rng), event_s = timed(
-            lambda: run_study(
-                context, trace, "event", args.max_instances, args.seed,
-                PLANE,
-            )
-        )
         oracle = engine_record(
             "event-driven control oracle", event_s, work_items
         )

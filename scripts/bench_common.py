@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 import tracemalloc
 from pathlib import Path
@@ -76,6 +77,30 @@ def timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+def timed_alternating(
+    first: Callable[[], Any], second: Callable[[], Any], runs: int = 3
+) -> Tuple[Tuple[Any, float], Tuple[Any, float]]:
+    """Time ``first`` and ``second`` ``runs`` times each, alternating
+    which goes first so drift across the run window cancels out.
+
+    Returns ``((first result, median s), (second result, median s))``,
+    each result from that side's last run; one result per side is held
+    in memory at a time.
+    """
+    sides = (first, second)
+    results: list = [None, None]
+    seconds: Tuple[list, list] = ([], [])
+    for run in range(runs):
+        for side in (0, 1) if run % 2 == 0 else (1, 0):
+            results[side] = None
+            results[side], wall = timed(sides[side])
+            seconds[side].append(wall)
+    return (
+        (results[0], statistics.median(seconds[0])),
+        (results[1], statistics.median(seconds[1])),
+    )
 
 
 def traced_peak(fn: Callable[[], Any]) -> Tuple[Any, int]:

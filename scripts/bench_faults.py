@@ -14,9 +14,12 @@ windows) and a retry policy (queue timeouts, bounded retries) through
 
 checks the two are bit-identical (series, drop reasons, retry/timeout/
 kill counters, RNG end state), and writes the shared ``bench_common``
-schema to ``BENCH_faults.json``.  A separate ``overhead`` section times
-the fault-free engine with inert fault objects attached, pinning the
-zero-fault cost of the availability layer at (near) zero.
+schema to ``BENCH_faults.json``.  Each engine's wall clock is the
+median of three alternating runs, so the recorded speedup does not move
+with the run window; ``--skip-event`` times the kernel once.  A
+separate ``overhead`` section times the fault-free engine with inert
+fault objects attached, pinning the zero-fault cost of the
+availability layer at (near) zero.
 
 Usage::
 
@@ -36,6 +39,7 @@ from bench_common import (
     engine_record,
     series_digest,
     timed,
+    timed_alternating,
     write_record,
 )
 
@@ -103,13 +107,20 @@ def main(argv=None) -> int:
         f"{FAULTS.instance_mtbf_seconds:.0f}s"
     )
 
-    work_items = 2 * len(trace)
-    (fast_series, fast_rng), fast_s = timed(
-        lambda: run_study(
-            context, trace, "vectorized", args.max_instances, args.seed,
+    def study(engine):
+        return lambda: run_study(
+            context, trace, engine, args.max_instances, args.seed,
             FAULTS, RETRY,
         )
-    )
+
+    work_items = 2 * len(trace)
+    if args.skip_event:
+        (fast_series, fast_rng), fast_s = timed(study("vectorized"))
+    else:
+        (
+            ((fast_series, fast_rng), fast_s),
+            ((event_series, event_rng), event_s),
+        ) = timed_alternating(study("vectorized"), study("event"))
     fast = engine_record(
         "control kernel, inert plane", fast_s, work_items
     )
@@ -117,12 +128,6 @@ def main(argv=None) -> int:
 
     oracle = None
     if not args.skip_event:
-        (event_series, event_rng), event_s = timed(
-            lambda: run_study(
-                context, trace, "event", args.max_instances, args.seed,
-                FAULTS, RETRY,
-            )
-        )
         oracle = engine_record(
             "event-driven control oracle, inert plane", event_s, work_items
         )

@@ -1,14 +1,16 @@
 #!/usr/bin/env python
-"""Benchmark the scheduling-policy engines: event-driven vs keyed vs vectorized.
+"""Benchmark the scheduling-policy engines: event-driven vs vectorized.
 
 Runs the fig13-policy study grid — SJF / criticality / DAG-aware on both
 platforms under a bursty trace — through
 
 - the **event-driven** engine with the heap-backed ``KeyedQueue``
   policies (the reference oracle after the priority-key refactor),
-- the **vectorized** index-priority engine
-  (``repro.cluster.policy_engine``) — contention-free chunks batched in
-  numpy, congested stretches dispatched by a primitive-heap kernel —
+- the **vectorized** fault-free kernel
+  (``repro.cluster.fast_engine``) — contention-free chunks batched in
+  numpy, congested stretches dispatched by a primitive-heap loop, or
+  by the FCFS recurrence where the policy's keys tie (DAG on this
+  suite) —
 
 and, on one representative saturated cell, the pre-refactor **linear
 min + list.remove** policy implementation (frozen in
@@ -187,7 +189,7 @@ def main(argv=None) -> int:
         )
     )
     fast = engine_record(
-        "vectorized index-priority engine", fast_s, work_items
+        "vectorized fault-free kernel", fast_s, work_items
     )
     print(f"vectorized:   {fast_s:8.2f}s  ({work_items / fast_s:9.0f} req/s)")
 

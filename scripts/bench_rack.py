@@ -6,8 +6,9 @@ instances, queue depth 10,000) through
 
 - the **event-driven** engine — one Python callback per arrival,
   completion, and sample tick (the reference oracle), and
-- the **vectorized** engine — the numpy busy-period FCFS kernel in
-  ``repro.cluster.fast_engine`` —
+- the **vectorized** engine — the fault-free kernel in
+  ``repro.cluster.fast_engine``, whose FIFO branch runs FCFS as the
+  numpy busy-period recurrence —
 
 checks the two produce bit-identical series (drops, latencies, queue
 depth, busy instances, RNG end state), and writes the shared

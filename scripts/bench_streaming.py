@@ -29,7 +29,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from pathlib import Path
 
@@ -38,7 +37,7 @@ import numpy as np
 from bench_common import (
     build_record,
     engine_record,
-    timed,
+    timed_alternating,
     traced_peak,
     write_record,
 )
@@ -203,18 +202,9 @@ def main(argv=None) -> int:
             chunk_requests=args.chunk_requests,
         )
 
-    seconds = {materialized: [], streamed: []}
-    results = {}
-    for run in range(THROUGHPUT_RUNS):
-        # Alternate which side goes first so run order cancels out.
-        order = (materialized, streamed)
-        for side in order if run % 2 == 0 else order[::-1]:
-            results.pop(side, None)  # one result per side in memory
-            results[side], wall = timed(side)
-            seconds[side].append(wall)
-    mat_series, streamed2 = results[materialized], results[streamed]
-    mat_s = statistics.median(seconds[materialized])
-    stream_s = statistics.median(seconds[streamed])
+    (mat_series, mat_s), (streamed2, stream_s) = timed_alternating(
+        materialized, streamed, THROUGHPUT_RUNS
+    )
     if not streamed2.identical_to(StreamedSeries.from_series(mat_series)):
         print("ERROR: timing-run series disagree", file=sys.stderr)
         return 1

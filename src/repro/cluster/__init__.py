@@ -5,12 +5,11 @@ trace for 20 minutes, with a pluggable scheduler holding up to 10,000
 queued requests.  Produces the arrival/queue-depth/latency time series
 of Fig. 13 and the wall-clock comparison of §6.2.2.  Every scheduling
 policy is a :class:`~repro.cluster.policy_keys.PolicyKey` (static
-per-app key vector + sequence tie-break): FCFS runs execute on the
-vectorized busy-period kernel (:mod:`repro.cluster.fast_engine`), keyed
-policies (SJF, criticality, DAG-aware) on the index-priority kernel
-(:mod:`repro.cluster.policy_engine`), both enforced bit-identical
-against the event-driven oracle; :mod:`repro.cluster.sweep` fans
-scenario grids out over shared traces and service samples.
+per-app key vector + sequence tie-break), and every one — FCFS, SJF,
+criticality, DAG-aware — runs on one fault-free kernel
+(:mod:`repro.cluster.fast_engine`), enforced bit-identical against the
+event-driven oracle; :mod:`repro.cluster.sweep` fans scenario grids out
+over shared traces and service samples.
 
 Fault injection rides on top: a seeded
 :class:`~repro.cluster.faults.FaultSchedule` (instance crashes,
@@ -36,8 +35,8 @@ inert-plane entry).
 
 Rack engines, in all: two event oracles (the fault-free one inside
 :class:`~repro.cluster.simulation.RackSimulation` and
-:func:`~repro.cluster.control_engine.run_control_event`) and three
-kernels (FCFS, keyed, control), each run either materialized — one
+:func:`~repro.cluster.control_engine.run_control_event`) and two
+kernels (fault-free, control), each run either materialized — one
 whole-trace chunk folded into a retaining
 :class:`~repro.cluster.simulation.SeriesSink` — or streamed — bounded
 chunks folded into a :class:`~repro.cluster.streaming.StreamedSeries`

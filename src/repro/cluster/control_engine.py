@@ -34,17 +34,17 @@ Shared semantics, implemented twice:
   Faults and control events partition the timeline into capacity
   epochs; within one, trace arrivals are served in batches.
   Contention-free stretches run through the windowed pass A of the
-  fault-free kernels (``completion = arrival + service``,
+  fault-free kernel (``completion = arrival + service``,
   ``searchsorted`` occupancy checks, tentative-draw RNG rollback), the
   arrival gate applied as a vectorized mask (token spend committed only
   for the admitted prefix that actually starts; shed arrivals never
   touch the RNG).  Congested stretches of a FIFO rack (one key prefix
-  for the whole catalog) run through the FIFO pass: the FCFS kernel's
-  virtual-server recurrence over the ``cap`` server-free times, walked
-  in event order with the gate, queue-full failures, timeouts and
-  retries inline — re-injected requests waiting behind every trace
-  request, as their keys say — and every service drawn at its start,
-  so nothing is tentative.  Only keyed queues step serially through
+  for the whole catalog) run through the FIFO pass: the fault-free
+  kernel's virtual-server recurrence over the ``cap`` server-free
+  times, walked in event order with the gate, queue-full failures,
+  timeouts and retries inline — re-injected requests waiting behind
+  every trace request, as their keys say — and every service drawn at
+  its start, so nothing is tentative.  Only keyed queues step serially through
   the keyed dispatch.  In-flight requests are one columnar sorted run
   (:class:`_InFlight`), so completions retire as array slices while
   nobody waits.  Like every rack kernel it walks the trace in chunks
@@ -93,6 +93,8 @@ from repro.cluster.fast_engine import (
     _ServicePools,
     admission_ranks,
     checked_chunks,
+    key_prefixes,
+    occupancy_cut,
     sample_tick_times,
 )
 from repro.cluster.faults import (
@@ -698,8 +700,7 @@ class _ControlRun:
         self.n_apps = len(app_names)
         self.pools = _ServicePools(sim, app_names)
         self.reader = _PoolReader(sim, app_names)
-        self.prefixes = [policy.key.key_for(name) for name in app_names]
-        self.fifo_rack = len(set(self.prefixes)) <= 1
+        self.prefixes, self.fifo_rack = key_prefixes(policy, app_names)
 
         state = ControllerState(plane, sim._max_instances, app_names)
         self.state = state
@@ -1178,13 +1179,13 @@ class _ControlRun:
         else:
             effective = effective_first
         comp_opt = arr_adm + effective
-        dep_pend = np.searchsorted(
-            self.flight.completions(), arr_adm, side="left"
+        cut = occupancy_cut(
+            self.busy,
+            self.flight.completions(),
+            arr_adm,
+            np.sort(comp_opt),
+            self.cap,
         )
-        dep_window = np.searchsorted(np.sort(comp_opt), arr_adm, side="left")
-        n_before = self.busy + np.arange(n_adm) - dep_pend - dep_window
-        crossing = np.nonzero(n_before >= self.cap)[0]
-        cut = int(crossing[0]) if crossing.size else n_adm
         # cut >= 1: with busy < cap the first *admitted* arrival always
         # fits, so progress is guaranteed.
         if cut == n_adm:
@@ -1242,7 +1243,7 @@ class _ControlRun:
         waiting, and runs to ``cut`` — the next fault (``cut_rank`` 0)
         or control event (2) — or, at the chunk end, to just after the
         last trace arrival (an equal-time injected one waits for the
-        next chunk, whose arrivals rank first).  It walks the FCFS
+        next chunk, whose arrivals rank first).  It walks the fault-free
         kernel's virtual-server recurrence over the ``cap`` server-free
         times (the latest completions in service) in the oracle's event
         order: before each arrival, the earliest timer fires if it ranks
@@ -1681,7 +1682,7 @@ def control_kernel(
       control event, the next injected re-arrival and the chunk end,
       with the arrival gate as a vectorized mask (token spend committed
       only for the admitted prefix that starts) and tentative service
-      draws rolled back as in the fault-free kernels;
+      draws rolled back as in the fault-free kernel;
     - on a congested rack whose catalog shares one key prefix (FCFS),
       the FIFO pass (:meth:`_ControlRun.fifo_pass`) serves trace and
       injected arrivals up to the next fault, control event or chunk

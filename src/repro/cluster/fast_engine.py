@@ -1,58 +1,62 @@
-"""The FCFS rack kernel, and the chunk-and-fold machinery of every kernel.
+"""The fault-free rack kernel, and the chunk-and-fold machinery of both.
 
 The event-driven simulator in :mod:`repro.cluster.simulation` fires one
-Python closure per arrival, completion, and sample tick.  For FCFS — the
-paper's deployed policy — the same dynamics admit an array formulation,
-:func:`fcfs_kernel`:
+Python closure per arrival, completion, and sample tick.  A fault-free
+run under FCFS (the paper's deployed policy) or any other
+:class:`~repro.cluster.schedulers.KeyedPolicy` admits an array
+formulation instead, :func:`fault_free_kernel`:
 
-- **Virtual server assignment.**  With ``c`` interchangeable instances and
-  FCFS admission, the request that is admitted ``k``-th starts at
-  ``max(arrival_k, min(avail))`` where ``avail`` is the multiset of the
-  ``c`` earliest server-free times — the classic O(n log c) multi-server
-  recurrence.  Queued requests can be assigned to servers the moment they
-  are admitted; physical start order equals admission order, so the
-  resulting starts, completions, and per-app service-sample indices are
-  exactly the oracle's.
-- **Busy-period batching.**  Arrivals are processed in adaptively sized
-  windows.  While the system stays below capacity every request starts at
-  its own arrival, so a whole window reduces to ``completion = arrival +
-  service`` plus a ``searchsorted`` occupancy check (pass A).  Congested
-  windows fall back to a tight float-heap kernel (pass B), and near the
-  admission limit a serial step (pass C) replays the oracle's
-  drop-by-drop bookkeeping cheaply.
+- **Pass A (contention-free windows).**  While nobody waits and a server
+  is free every request starts at its own arrival, so a whole window
+  reduces to ``completion = arrival + service`` plus a ``searchsorted``
+  occupancy check (:func:`occupancy_cut`).  No policy reorders anything
+  there.
+- **Congested FIFO racks.**  When the trace's apps all share one key
+  prefix (:func:`key_prefixes`) — FCFS's empty key, or keys that tie —
+  start order is admission order, so the request admitted ``k``-th
+  starts at ``max(arrival_k, min(avail))``, ``avail`` the ``c``
+  server-free times: the O(n log c) multi-server recurrence, run over
+  windows with vectorized drop detection (pass B) and stepped serially
+  near the admission limit (pass C).
+- **Congested keyed racks.**  Otherwise each completion dispatches the
+  queued request minimizing ``(*key, sequence)`` from a heap of raw key
+  tuples, and once arrivals stop the backlog drains in key order with
+  one batched draw.
 
 Service times consume the simulation RNG in precisely the oracle's order:
-pools are drawn lazily per application (initial block at first admission,
+pools are drawn lazily per application (initial block at its first draw,
 doubling on exhaustion), and tentative draws made while sizing a window
 are rolled back — RNG state and pool contents restored, the committed
-prefix replayed — whenever the window is cut short by a drop.
+prefix replayed — whenever the window is cut short.  The policy's
+``observe_app`` coverage hook sees every admitted application, once per
+application per committed window.
 
-**One kernel, two runs.**  Every rack kernel (this one,
-:func:`~repro.cluster.policy_engine.keyed_kernel` and
-:func:`~repro.cluster.control_engine.control_kernel`) walks
+**One kernel, two runs.**  Both rack kernels (this one and
+:func:`~repro.cluster.control_engine.control_kernel`) walk
 ``source.chunks(chunk_requests)`` (:func:`checked_chunks`) with a
-chunk-local index, logs events to Python lists and array parts, and at
-each chunk boundary folds them into a telemetry *sink*: tick-visible
+chunk-local index, log events to Python lists and array parts, and at
+each chunk boundary fold them into a telemetry *sink*: tick-visible
 events become per-tick counts (:class:`TickLog`) and completions go out
-in canonical (completion time, start order) — for FCFS and keyed runs
-below a watermark no future completion can undercut
-(:class:`StartOrderTelemetry`).  Servers, departures, queues, timers and
-service pools carry across chunks, and pass-A windows stop at the chunk
-end, so the chunking never shows in a result.  A materialized run
-(:func:`run_vectorized`) is one whole-trace chunk folded into a
-retaining :class:`~repro.cluster.simulation.SeriesSink`; a streamed run
+in canonical (completion time, start order) — here below a watermark no
+future completion can undercut (:class:`StartOrderTelemetry`).  Servers,
+departures, queues, timers and service pools carry across chunks, and
+pass-A windows stop at the chunk end, so the chunking never shows in a
+result.  A materialized run (:func:`run_vectorized` for FCFS,
+:func:`~repro.cluster.policy_engine.run_keyed` for every other keyed
+policy) is one whole-trace chunk folded into a retaining
+:class:`~repro.cluster.simulation.SeriesSink`; a streamed run
 (:func:`~repro.cluster.streaming.run_streaming`) folds bounded chunks
-into a :class:`~repro.cluster.streaming.StreamedSeries`.  The event-driven
-path remains the reference oracle, and for FCFS this kernel is
+into a :class:`~repro.cluster.streaming.StreamedSeries`.  The
+event-driven path remains the reference oracle, and this kernel is
 bit-identical to it: same drops, same latencies, same series, same RNG
-end state.
+end state, same service pools.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +64,7 @@ from repro.cluster.faults import REASON_QUEUE_FULL
 from repro.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.cluster.schedulers import KeyedPolicy
     from repro.cluster.simulation import RackSimulation, SimulationSeries
     from repro.cluster.trace import RequestTrace
 
@@ -68,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 _WINDOW_MIN = 512
 _WINDOW_MAX = 32_768
 # Within this many requests of the admission limit (instances + queue
-# depth) the engine steps serially (pass C): drops arrive one by one there
+# depth) a FIFO rack steps serially (pass C): drops arrive one by one there
 # and windowed passes would be cut to confetti.
 _CAPACITY_MARGIN = 64
 
@@ -465,7 +470,7 @@ class TickLog:
 class StartOrderTelemetry:
     """The event logs of a kernel that knows a completion at its start.
 
-    The FCFS and keyed kernels log each request's ``(completion,
+    The fault-free kernel logs each request's ``(completion,
     latency)`` when it starts, in start order — scalars through
     :attr:`times` / :attr:`latencies`, array parts through
     :meth:`extend` — beside the tick-visible events as they happen:
@@ -553,163 +558,339 @@ class StartOrderTelemetry:
         return sink.finalize()
 
 
-def fcfs_kernel(
-    sim: "RackSimulation", source, sink, chunk_requests: int
-):
-    """Serve ``source`` FCFS chunk by chunk; returns ``sink.finalize()``.
 
-    Folds into ``sink`` at every chunk boundary after the first, with
-    the watermark ``min(next arrival, earliest in-service completion)``,
-    and once more at the end; pools compact at the same boundaries.
+
+def key_prefixes(
+    policy: "KeyedPolicy", app_names: List[str]
+) -> Tuple[List[tuple], bool]:
+    """Each app's key prefix under ``policy``, and whether they all tie.
+
+    A queued request sorts by its app's prefix, then by admission
+    sequence, so on a *FIFO rack* — every prefix tied, as under FCFS's
+    empty key — the queue serves in admission order whatever the policy.
     """
-    c = sim._max_instances
-    capacity = c + sim._queue_depth
-    serial_threshold = max(c, capacity - _CAPACITY_MARGIN)
+    prefixes = [policy.key.key_for(name) for name in app_names]
+    return prefixes, len(set(prefixes)) <= 1
 
-    app_names = list(source.app_catalog)
-    n_apps = len(app_names)
-    pools = _ServicePools(sim, app_names)
 
-    telemetry = StartOrderTelemetry(sink)
-    avail: List[float] = [0.0] * c  # heap of server-free times
-    pending = Departures()  # in-system completion times
-    window_size = _WINDOW_MIN
-    for k, (arrivals, app_ids) in enumerate(
-        checked_chunks(source, chunk_requests)
-    ):
-        if k:
-            telemetry.fold(min(arrivals[0], pending.next_time()))
-            pools.compact()
-        n = len(arrivals)
-        arrivals_list = arrivals.tolist()
-        i = 0
+def occupancy_cut(
+    occupied: int,
+    departures: np.ndarray,
+    arrivals: np.ndarray,
+    completions: np.ndarray,
+    limit: int,
+) -> int:
+    """Index of the first window arrival to find ``limit`` or more
+    requests in the system (``len(arrivals)`` if none does).
+
+    Arrival ``k`` finds the ``occupied`` requests present at the window
+    start plus the ``k`` before it, less those that completed strictly
+    before it: ``departures`` (in-system) and ``completions`` (the
+    window's), both ascending.
+    """
+    in_system = (
+        occupied
+        + np.arange(len(arrivals))
+        - np.searchsorted(departures, arrivals, side="left")
+        - np.searchsorted(completions, arrivals, side="left")
+    )
+    crossing = np.flatnonzero(in_system >= limit)
+    return int(crossing[0]) if crossing.size else len(arrivals)
+
+
+class _FaultFreeRun:
+    """The state one :func:`fault_free_kernel` run walks, and its passes.
+
+    ``pending`` holds the completion of every request in the system: on
+    a FIFO rack queued ones too (the recurrence fixes their starts at
+    admission), with ``avail`` the heap of the ``c`` server-free times
+    when known; on a keyed rack only started ones, queued requests
+    waiting in the heap ``queue`` as ``prefix + (sequence, arrival, app
+    id)``.
+    """
+
+    def __init__(
+        self, sim: "RackSimulation", policy: "KeyedPolicy", source, sink
+    ) -> None:
+        self.c = sim._max_instances
+        self.qmax = sim._queue_depth
+        self.app_names = list(source.app_catalog)
+        self.pools = _ServicePools(sim, self.app_names)
+        self.prefixes, self.fifo = key_prefixes(policy, self.app_names)
+        self.observe_app = policy.observe_app
+        self.service_time = sim._service_time
+        self.telemetry = StartOrderTelemetry(sink)
+        self.pending = Departures()
+        self.queue: List[tuple] = []
+        self.avail: Optional[List[float]] = None
+        self.window_size = _WINDOW_MIN
+        # The current chunk, its list mirrors, and the global trace
+        # index of its first request.
+        self.arrivals = np.empty(0)
+        self.app_ids = np.empty(0, dtype=np.intp)
+        self.arrivals_list: List[float] = []
+        self.ids_list: List[int] = []
+        self.base = 0
+
+    def commit(self, ids, committed: int, events, snapshot) -> None:
+        """Commit a window's first ``committed`` requests: advance the
+        pools (rolling back later draws), observe each admitted app once
+        — the policy's set-like coverage contract — and grow the next
+        window after a whole one, shrink it after a cut."""
+        self.pools.commit(
+            ids, committed, events, snapshot, len(self.app_names)
+        )
+        for app_id in np.flatnonzero(np.bincount(ids[:committed])).tolist():
+            self.observe_app(self.app_names[app_id])
+        self.window_size = (
+            min(self.window_size * 2, _WINDOW_MAX)
+            if committed == len(ids)
+            else _WINDOW_MIN
+        )
+
+    def pass_a(self, i: int) -> int:
+        """Pass A from chunk index ``i``, where nobody waits and a server
+        is free: every request starts at its arrival, up to the first
+        that would find all ``c`` busy; returns that arrival's index."""
+        pending = self.pending
+        arr = self.arrivals[i : i + self.window_size]
+        ids = self.app_ids[i : i + self.window_size]
+        values, events, snapshot = self.pools.peek(ids)
+        comps = arr + values
+        comp_sorted = np.sort(comps)
+        # cut >= 1: the first arrival finds a server free.
+        cut = occupancy_cut(
+            len(pending), pending.sorted(), arr, comp_sorted, self.c
+        )
+        self.commit(ids, cut, events, snapshot)
+        if cut < len(arr):
+            arr, comps = arr[:cut], comps[:cut]
+            comp_sorted = np.sort(comps)
+        self.telemetry.immediate.extend(arr)
+        self.telemetry.extend(comps, comps - arr)
+        pending.add_sorted(comp_sorted)
+        self.avail = None  # a new completion may be a server-free time
+        return i + cut
+
+    def fifo_stretch(self, i: int) -> int:
+        """Serve arrivals from chunk index ``i`` while a FIFO rack's
+        servers are all busy; returns the index of the first arrival to
+        find one free, or the chunk end.
+
+        Start order is admission order, so an admitted request starts at
+        ``max(arrival, min(avail))`` — the multi-server recurrence — and
+        draws its service on arrival.  Pass B runs the recurrence over a
+        window, cut at its first queue-full drop; within
+        ``_CAPACITY_MARGIN`` of the admission limit pass C steps
+        serially.
+        """
+        arrivals_list = self.arrivals_list
+        n = len(arrivals_list)
+        pending = self.pending
+        telemetry = self.telemetry
+        c = self.c
+        capacity = c + self.qmax
+        serial_threshold = max(c, capacity - _CAPACITY_MARGIN)
+        avail = self.avail
         while i < n:
             now = arrivals_list[i]
             pending.depart_before(now)
-            in_system = len(pending)
+            occupied = len(pending)
+            if occupied < c:
+                break
+            if avail is None:
+                # Pop-min/push-completion keeps the c server-free times
+                # the c latest completions admitted so far, all still in
+                # the system; ascending order is already a heap.
+                avail = pending.sorted()[-c:].tolist()
 
-            # ---- Pass C: serial steps near the admission limit ------
-            if in_system >= serial_threshold:
-                if in_system >= capacity:
-                    telemetry.drops.append(now)  # busy == c, queue full
-                    i += 1
-                    continue
-                service = sim._service_time(app_names[app_ids[i]])
-                free = avail[0]
-                start = now if now > free else free
-                completion = start + service
-                heapreplace(avail, completion)
-                pending.push(completion)
-                if start <= now:
-                    telemetry.immediate.append(now)
-                else:
-                    telemetry.queued.append(now)
-                    telemetry.starts.append(start)
-                telemetry.times.append(completion)
-                telemetry.latencies.append(completion - now)
-                i += 1
-                continue
-
-            # ---- Windowed passes, stopping at the chunk end ---------
-            hi = min(n, i + window_size)
-            m = hi - i
-            arr = arrivals[i:hi]
-            ids = app_ids[i:hi]
-            values, events, snapshot = pools.peek(ids)
-            dep_pend = np.searchsorted(pending.sorted(), arr, side="left")
-            offsets = np.arange(m)
-
-            committed = -1  # sentinel: window not resolved yet
-            drop_after = False
-            avail_is_final = False
-
-            # ---- Pass A: contention-free window (immediate starts) --
-            if in_system < c:
-                comp_opt = arr + values
-                comp_sorted = np.sort(comp_opt)
-                dep_window = np.searchsorted(comp_sorted, arr, side="left")
-                n_before = in_system + offsets - dep_pend - dep_window
-                crossing = np.nonzero(n_before >= c)[0]
-                cut = int(crossing[0]) if crossing.size else m
-                if cut > 0:
-                    committed = cut
-                    starts_arr = None  # every start is its arrival
-                    comps_arr = comp_opt[:cut]
-
-            # ---- Pass B: heap kernel with drop detection ------------
-            if committed < 0:
-                heap = avail[:]
+            if occupied < serial_threshold:
+                # ---- Pass B: the recurrence over a window -----------
+                arr = self.arrivals[i : i + self.window_size]
+                ids = self.app_ids[i : i + self.window_size]
+                values, events, snapshot = self.pools.peek(ids)
                 starts_l: List[float] = []
                 comps_l: List[float] = []
                 append_start = starts_l.append
                 append_comp = comps_l.append
-                for arrival_t, service_t in zip(
-                    arrivals_list[i:hi], values.tolist()
+                for arrival, service in zip(
+                    arrivals_list[i : i + len(arr)], values.tolist()
                 ):
-                    free = heap[0]
-                    start = arrival_t if arrival_t > free else free
+                    free = avail[0]
+                    start = arrival if arrival > free else free
                     append_start(start)
-                    completion = start + service_t
+                    completion = start + service
                     append_comp(completion)
-                    heapreplace(heap, completion)
-                comps_b = np.asarray(comps_l)
-                comp_sorted = np.sort(comps_b)
-                dep_window = np.searchsorted(comp_sorted, arr, side="left")
-                n_before = in_system + offsets - dep_pend - dep_window
-                over = np.nonzero(n_before >= capacity)[0]
-                if over.size:
-                    committed = int(over[0])  # first over-capacity arrival
-                    drop_after = True
-                else:
-                    committed = m
-                    avail = heap  # final server state, already a heap
-                    avail_is_final = True
-                starts_arr = np.asarray(starts_l[:committed])
-                comps_arr = comps_b[:committed]
-
-            # ---- Commit the resolved prefix -------------------------
-            pools.commit(ids, committed, events, snapshot, n_apps)
-            if committed:
-                arr_c = arr[:committed]
-                pending.add_sorted(
-                    comp_sorted if committed == m else np.sort(comps_arr)
+                    heapreplace(avail, completion)
+                comps = np.asarray(comps_l)
+                comp_sorted = np.sort(comps)
+                # The first arrival to find the queue full is dropped;
+                # the later starts assumed it admitted, so cut there.
+                cut = occupancy_cut(
+                    occupied, pending.sorted(), arr, comp_sorted, capacity
                 )
-                if not avail_is_final:
-                    # The c server free-times are always the c largest
-                    # completions seen so far (pop-min/push-completion
-                    # keeps exactly that invariant), so the heap can be
-                    # rebuilt from the committed prefix without replay.
-                    merged = np.concatenate([np.asarray(avail), comps_arr])
-                    avail = np.partition(merged, -c)[-c:].tolist()
-                    heapify(avail)
-                if starts_arr is None:
-                    telemetry.immediate.extend(arr_c)
-                else:
-                    immediate = starts_arr <= arr_c
-                    telemetry.immediate.extend(arr_c[immediate])
-                    telemetry.queued.extend(arr_c[~immediate])
-                    telemetry.starts.extend(starts_arr[~immediate])
-                telemetry.extend(comps_arr, comps_arr - arr_c)
-            i += committed
-            if drop_after:
-                telemetry.drops.append(arrivals_list[i])
-                i += 1
-            if committed == m:
-                window_size = min(window_size * 2, _WINDOW_MAX)
-            else:
-                window_size = _WINDOW_MIN
+                self.commit(ids, cut, events, snapshot)
+                starts = np.asarray(starts_l[:cut])
+                if cut < len(arr):
+                    avail = None  # rebuilt from pending when next needed
+                    arr, comps = arr[:cut], comps[:cut]
+                    comp_sorted = np.sort(comps)
+                    telemetry.drops.append(arrivals_list[i + cut])
+                    i += 1
+                pending.add_sorted(comp_sorted)
+                queued = starts > arr
+                telemetry.immediate.extend(arr[~queued])
+                telemetry.queued.extend(arr[queued])
+                telemetry.starts.extend(starts[queued])
+                telemetry.extend(comps, comps - arr)
+                i += cut
+                continue
 
-    return telemetry.finalize()
+            # ---- Pass C: one serial step near the admission limit ---
+            i += 1
+            if occupied >= capacity:
+                telemetry.drops.append(now)  # servers busy, queue full
+                continue
+            name = self.app_names[self.ids_list[i - 1]]
+            self.observe_app(name)
+            free = avail[0]
+            start = now if now > free else free
+            completion = start + self.service_time(name)
+            heapreplace(avail, completion)
+            pending.push(completion)
+            if start <= now:
+                telemetry.immediate.append(now)
+            else:
+                telemetry.queued.append(now)
+                telemetry.starts.append(start)
+            telemetry.times.append(completion)
+            telemetry.latencies.append(completion - now)
+        self.avail = avail
+        return i
+
+    def keyed_stretch(self, i: int) -> int:
+        """Serve arrivals from chunk index ``i`` while a keyed rack is
+        congested; returns the index of the first arrival to find the
+        queue empty and a server free, or the chunk end.
+
+        Each completion before an arrival hands its server to the queued
+        request minimizing ``(*key, sequence)``, drawing its service at
+        that start — the oracle's order.  Every server stays busy while
+        a request waits, so an arrival here queues or, the queue full,
+        is dropped.
+        """
+        arrivals_list = self.arrivals_list
+        n = len(arrivals_list)
+        pending = self.pending
+        queue = self.queue
+        app_names = self.app_names
+        service_time = self.service_time
+        telemetry = self.telemetry
+        log_start = telemetry.starts.append
+        log_completion = telemetry.times.append
+        log_latency = telemetry.latencies.append
+        while i < n:
+            now = arrivals_list[i]
+            # Completions strictly before this arrival fire first (equal
+            # timestamps fire after: arrival < tick < completion); once
+            # the queue is empty the rest just retire.
+            while queue and pending.next_time() < now:
+                freed = pending.pop()
+                entry = heappop(queue)
+                completion = freed + service_time(app_names[entry[-1]])
+                pending.push(completion)
+                log_start(freed)
+                log_completion(completion)
+                log_latency(completion - entry[-2])
+            pending.depart_before(now)
+            if not queue and len(pending) < self.c:
+                break
+            if len(queue) < self.qmax:
+                app_id = self.ids_list[i]
+                self.observe_app(app_names[app_id])
+                heappush(
+                    queue,
+                    self.prefixes[app_id] + (self.base + i, now, app_id),
+                )
+                telemetry.queued.append(now)
+            else:
+                telemetry.drops.append(now)
+            i += 1
+        return i
+
+    def drain(self) -> None:
+        """Serve a keyed rack's backlog once arrivals stop.
+
+        Every completion then hands its server to the min-(key,
+        sequence) entry and nothing new enqueues, so the backlog is
+        served in sorted-queue order: one batched draw (pools replay the
+        oracle's per-dispatch order) feeds the float-heap recurrence.
+        """
+        if not self.queue:
+            return
+        backlog = sorted(self.queue)
+        ids = np.fromiter(
+            (entry[-1] for entry in backlog), dtype=np.intp, count=len(backlog)
+        )
+        values, events, snapshot = self.pools.peek(ids)
+        self.pools.commit(
+            ids, len(backlog), events, snapshot, len(self.app_names)
+        )
+        servers = self.pending.drain()
+        telemetry = self.telemetry
+        for entry, service in zip(backlog, values.tolist()):
+            freed = servers[0]
+            completion = freed + service
+            heapreplace(servers, completion)
+            telemetry.starts.append(freed)
+            telemetry.times.append(completion)
+            telemetry.latencies.append(completion - entry[-2])
+
+
+def fault_free_kernel(
+    sim: "RackSimulation",
+    policy: "KeyedPolicy",
+    source,
+    sink,
+    chunk_requests: int,
+):
+    """Serve ``source`` under ``policy`` chunk by chunk; returns
+    ``sink.finalize()``.
+
+    Pass-A windows alternate with congested stretches: the FIFO
+    recurrence on a FIFO rack (:func:`key_prefixes`), the key-heap
+    dispatch and a final drain otherwise.  Folds into ``sink`` at every
+    chunk boundary after the first, with the watermark ``min(next
+    arrival, earliest in-system completion)``, and once more at the
+    end; pools compact at the same boundaries.
+    """
+    run = _FaultFreeRun(sim, policy, source, sink)
+    congested = run.fifo_stretch if run.fifo else run.keyed_stretch
+    for k, (arrivals, app_ids) in enumerate(
+        checked_chunks(source, chunk_requests)
+    ):
+        if k:
+            run.telemetry.fold(min(arrivals[0], run.pending.next_time()))
+            run.pools.compact()
+            run.base += len(run.arrivals)
+        run.arrivals, run.app_ids = arrivals, app_ids
+        run.arrivals_list, run.ids_list = arrivals.tolist(), app_ids.tolist()
+        i = congested(0)
+        while i < len(arrivals):
+            i = congested(run.pass_a(i))
+    run.drain()
+    return run.telemetry.finalize()
 
 
 def run_vectorized(
     sim: "RackSimulation",
+    policy: "KeyedPolicy",
     trace: "RequestTrace",
     sample_interval_seconds: float,
 ) -> "SimulationSeries":
-    """Simulate ``trace`` under FCFS: :func:`fcfs_kernel` over one
+    """Simulate ``trace`` under FCFS: :func:`fault_free_kernel` over one
     whole-trace chunk into a retaining sink."""
     from repro.cluster.simulation import SeriesSink
 
     sink = SeriesSink(trace, sample_interval_seconds)
-    return fcfs_kernel(sim, trace, sink, max(len(trace), 1))
+    return fault_free_kernel(sim, policy, trace, sink, max(len(trace), 1))

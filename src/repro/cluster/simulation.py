@@ -10,21 +10,20 @@ Two kinds of engine produce those series:
 
 - ``engine="event"`` — the reference oracle: a timestamp-ordered event
   queue firing one callback per arrival, completion, and sample tick.
-- ``engine="vectorized"`` — a numpy kernel, bit-identical to the oracle
-  (same drops, same latencies, same series, same RNG end state) at a
-  fraction of the wall-clock cost: the busy-period FCFS kernel in
-  :mod:`repro.cluster.fast_engine`, or for keyed policies (SJF /
-  criticality / DAG-aware — anything driven by a
-  :class:`~repro.cluster.policy_keys.PolicyKey`) the index-priority
-  kernel in :mod:`repro.cluster.policy_engine`, which batches
-  contention-free stretches and dispatches congested ones through a
-  primitive-heap loop.
+- ``engine="vectorized"`` — the fault-free kernel of
+  :mod:`repro.cluster.fast_engine`, bit-identical to the oracle (same
+  drops, same latencies, same series, same RNG end state) at a fraction
+  of the wall-clock cost, for FCFS and every policy driven by a
+  :class:`~repro.cluster.policy_keys.PolicyKey` (SJF / criticality /
+  DAG-aware): contention-free stretches in batches, congested ones by
+  the FCFS recurrence when every key ties, else a primitive-heap loop.
 
-The default ``engine="auto"`` vectorizes whenever the trace is
-time-ordered; the event-driven oracle remains the fallback for unsorted
-traces.  A vectorized run is its kernel over one whole-trace chunk,
-folded into a retaining :class:`SeriesSink`; ``engine="streaming"``
-runs the same kernel over bounded chunks, folded into a
+The default ``engine="auto"`` vectorizes any keyed policy on a
+time-ordered trace; the event-driven oracle remains the fallback for
+unsorted traces and policies outside the keyed protocol.  A vectorized
+run is the kernel over one whole-trace chunk, folded into a retaining
+:class:`SeriesSink`; ``engine="streaming"`` runs the same kernel over
+bounded chunks, folded into a
 :class:`~repro.cluster.streaming.StreamedSeries`.
 
 Runs with active faults, retries or a control plane take one
@@ -663,14 +662,13 @@ class RackSimulation:
         """Simulate ``trace`` and return the measurement series.
 
         ``engine`` selects the execution strategy: ``"event"`` forces the
-        event-driven oracle, ``"vectorized"`` a fast path (the FCFS
-        busy-period kernel or, for keyed policies, the index-priority
-        kernel, over one whole-trace chunk — unsorted traces
-        transparently fall back to the oracle), ``"streaming"`` the same
-        kernels in constant memory (bounded chunks of at most
-        ``chunk_requests`` arrivals folded into a
-        :class:`~repro.cluster.streaming.StreamedSeries` — bit-identical
-        decisions and RNG stream, no whole-trace arrays), and ``"auto"``
+        event-driven oracle, ``"vectorized"`` the fault-free kernel over
+        one whole-trace chunk (unsorted traces transparently fall back
+        to the oracle), ``"streaming"`` the same kernels in constant
+        memory (bounded chunks of at most ``chunk_requests`` arrivals
+        folded into a :class:`~repro.cluster.streaming.StreamedSeries`
+        — bit-identical decisions and RNG stream, no whole-trace
+        arrays), and ``"auto"``
         (default) vectorizes whenever it can.  ``chunk_requests`` is
         only meaningful with ``engine="streaming"``; streamed trace
         sources (:class:`~repro.cluster.trace.StreamedTrace`) *require*
@@ -736,11 +734,15 @@ class RackSimulation:
                 timeline, retry, plane,
             )
 
-        if engine != "event":
-            if self._vectorizable(queue, trace):
-                return run_vectorized(self, trace, sample_interval_seconds)
-            if self._keyed_vectorizable(queue, trace):
-                return run_keyed(self, queue, trace, sample_interval_seconds)
+        if (
+            engine != "event"
+            and isinstance(queue, KeyedPolicy)
+            and self._time_ordered(trace)
+        ):
+            # One kernel; its two entries only label the run for the
+            # benchmark's probes, which wrap each by name.
+            entry = run_vectorized if type(queue) is FCFSPolicy else run_keyed
+            return entry(self, queue, trace, sample_interval_seconds)
 
         events = EventQueue()
         busy = 0
@@ -877,23 +879,3 @@ class RackSimulation:
     def _time_ordered(trace: RequestTrace) -> bool:
         arrivals = trace.arrival_seconds
         return len(arrivals) == 0 or bool(np.all(np.diff(arrivals) >= 0))
-
-    @staticmethod
-    def _vectorizable(queue, trace: RequestTrace) -> bool:
-        """FCFS over a time-ordered trace is what the fast engine models.
-
-        Exactly :class:`FCFSPolicy`, not subclasses: the busy-period
-        engine has no ``observe_app`` calls, so a subclass carrying a
-        coverage hook routes to the keyed engine instead (same results,
-        the hook honoured).
-        """
-        return type(queue) is FCFSPolicy and RackSimulation._time_ordered(
-            trace
-        )
-
-    @staticmethod
-    def _keyed_vectorizable(queue, trace: RequestTrace) -> bool:
-        """Any priority-key policy routes to the index-priority engine."""
-        return isinstance(queue, KeyedPolicy) and RackSimulation._time_ordered(
-            trace
-        )

@@ -13,11 +13,11 @@ and *folded into telemetry* in bounded chunks of ``chunk_requests``:
   (:meth:`~repro.cluster.trace.RequestTrace.chunks`, or the
   generator-backed :class:`~repro.cluster.trace.StreamedTrace`); only
   one chunk is buffered at a time.
-- **Engine side** — the same three kernels a materialized run uses
-  (:func:`~repro.cluster.fast_engine.fcfs_kernel`,
-  :func:`~repro.cluster.policy_engine.keyed_kernel` and
-  :func:`~repro.cluster.control_engine.control_kernel`, the last also
-  serving every fault/retry run with an inert ``ControlPlane()``), fed
+- **Engine side** — the same two kernels a materialized run uses
+  (:func:`~repro.cluster.fast_engine.fault_free_kernel` for FCFS and
+  every keyed policy, and
+  :func:`~repro.cluster.control_engine.control_kernel`, which also
+  serves every fault/retry run with an inert ``ControlPlane()``), fed
   bounded chunks instead of one whole-trace chunk.  Each kernel carries
   its heaps, queues, timers and service pools across chunk boundaries
   and stops its pass-A windows at each chunk end, so the chunking only
@@ -55,10 +55,9 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 import numpy as np
 
 from repro.cluster.control_engine import control_kernel
-from repro.cluster.fast_engine import fcfs_kernel, sample_tick_times
+from repro.cluster.fast_engine import fault_free_kernel, sample_tick_times
 from repro.cluster.faults import DROP_REASONS
-from repro.cluster.policy_engine import keyed_kernel
-from repro.cluster.schedulers import FCFSPolicy, KeyedPolicy
+from repro.cluster.schedulers import KeyedPolicy
 from repro.errors import ConfigurationError
 from repro.sim.stats import QuantileSketch
 
@@ -396,7 +395,8 @@ def run_streaming(
     Mirrors :meth:`RackSimulation.run`'s routing, with the same
     configuration errors: any active fault, retry or control
     configuration goes to the control kernel (an inert plane when only
-    faults or retries are active), then FCFS and keyed policies.
+    faults or retries are active), every other keyed policy (FCFS
+    included) to the fault-free kernel.
 
     Generator-backed sources additionally switch the simulation's
     service pools into bounded (windowed-replay) mode for the duration
@@ -438,10 +438,8 @@ def _dispatch_streaming(
         return control_kernel(
             sim, queue, source, sink, chunk_requests, *dynamics
         )
-    if type(queue) is FCFSPolicy:
-        return fcfs_kernel(sim, source, sink, chunk_requests)
     if isinstance(queue, KeyedPolicy):
-        return keyed_kernel(sim, queue, source, sink, chunk_requests)
+        return fault_free_kernel(sim, queue, source, sink, chunk_requests)
     raise ConfigurationError(
         "engine='streaming' requires FCFS or a keyed policy; got "
         f"{type(queue).__name__}"

@@ -12,8 +12,7 @@ policy grid, reusing traces and service samples across cells.
 :func:`policy_sweep` (the ``fig13-policy`` experiment) is the
 scheduling-policy study: the same grid crossed with all four policies
 (FCFS and the paper's future-work SJF / criticality / DAG-aware), every
-cell running on a vectorized engine — the busy-period FCFS kernel or the
-index-priority engine of :mod:`repro.cluster.policy_engine`.
+cell running on the fault-free kernel of :mod:`repro.cluster.fast_engine`.
 """
 
 from __future__ import annotations

@@ -13,6 +13,13 @@ series, drops and reasons, counters, RNG end state and service pools.
 
 A fixed congested FIFO case also spies on the FIFO pass, so the suite
 cannot pass by sending every congested arrival down the serial path.
+
+The fault-free kernel gets the same treatment: with no faults, retry or
+plane, a second strategy draws FCFS, multi-class SJF and criticality,
+one-class criticality, the (tied) DAG key and an FCFS subclass with a
+coverage hook, short queues from a single instance up, and the run
+settings and seeds, against the inline oracle — including what the
+policy's coverage hook saw.
 """
 
 import numpy as np
@@ -27,7 +34,7 @@ from repro.cluster.control import (
     OverloadPolicy,
 )
 from repro.cluster.faults import FaultSchedule, RetryPolicy
-from repro.cluster.schedulers import PolicyFactory
+from repro.cluster.schedulers import FCFSPolicy, PolicyFactory
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.streaming import StreamedSeries
 from repro.cluster.trace import TraceGenerator
@@ -164,6 +171,14 @@ def assert_same_state(sim, oracle_sim, pools):
             assert np.array_equal(sim._service_samples[name], pool)
 
 
+def coverage(policy):
+    """What a policy's coverage hook recorded."""
+    return (
+        getattr(policy, "unknown_apps", None),
+        getattr(policy, "seen", None),
+    )
+
+
 def run_and_compare(model, suite, trace, kwargs, chunk):
     oracle_sim = RackSimulation(model, suite, **kwargs)
     oracle = oracle_sim.run(trace, engine="event")
@@ -177,6 +192,7 @@ def run_and_compare(model, suite, trace, kwargs, chunk):
     # A streamed run compacts its pools: the cursors and the RNG carry
     # the draw history instead.
     assert_same_state(sim, oracle_sim, pools=chunk is None)
+    assert coverage(sim.last_policy) == coverage(oracle_sim.last_policy)
     return oracle
 
 
@@ -190,6 +206,82 @@ def run_and_compare(model, suite, trace, kwargs, chunk):
 def test_control_kernel_matches_oracle(config, model, suite, estimates):
     trace = make_trace(suite, config["scale"], config["trace_seed"])
     kwargs = simulation_kwargs(config, suite, estimates)
+    run_and_compare(model, suite, trace, kwargs, config["chunk"])
+
+
+class ObservingFCFS(FCFSPolicy):
+    """FCFS with a coverage hook: records every admitted app."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = set()
+
+    def observe_app(self, app_name):
+        self.seen.add(app_name)
+
+
+class ObservingFCFSFactory:
+    def build(self):
+        return ObservingFCFS()
+
+
+def fault_free_policy(name, suite, estimates):
+    if name == "fcfs":
+        return None
+    if name == "observing fcfs":
+        return ObservingFCFSFactory()
+    if name == "sjf":
+        return PolicyFactory("sjf", service_estimates=estimates)
+    if name == "criticality":
+        return PolicyFactory(
+            "criticality",
+            priorities={app: i % 3 for i, app in enumerate(sorted(suite))},
+        )
+    if name == "one-class criticality":
+        return PolicyFactory("criticality", priorities=dict.fromkeys(suite, 1))
+    assert name == "dag"
+    return PolicyFactory("dag", applications=suite)
+
+
+fault_free_configs = st.fixed_dictionaries(
+    {
+        "policy": st.sampled_from(
+            [
+                "fcfs",
+                "sjf",
+                "criticality",
+                "one-class criticality",
+                "dag",
+                "observing fcfs",
+            ]
+        ),
+        "max_instances": st.integers(1, 6),
+        "queue_depth": st.integers(1, 12),
+        "chunk": st.sampled_from([None, 1, 7, 64]),
+        # A nearly idle rack, where some apps are only ever admitted in
+        # contention-free windows, and a congested one.
+        "scale": st.sampled_from([0.005, 0.06]),
+        "trace_seed": st.integers(0, 30),
+        "seed": st.integers(0, 30),
+    }
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(config=fault_free_configs)
+def test_fault_free_kernel_matches_oracle(config, model, suite, estimates):
+    trace = make_trace(suite, config["scale"], config["trace_seed"])
+    kwargs = dict(
+        max_instances=config["max_instances"],
+        queue_depth=config["queue_depth"],
+        seed=config["seed"],
+        policy=fault_free_policy(config["policy"], suite, estimates),
+    )
     run_and_compare(model, suite, trace, kwargs, config["chunk"])
 
 

@@ -1,24 +1,27 @@
-"""The vectorized keyed-policy engine must be bit-identical to the oracle.
+"""The fault-free kernel must be bit-identical to the oracle on every policy.
 
 The keyed twin of ``tests/test_rack_equivalence.py``: for every policy
 driven by a :class:`~repro.cluster.policy_keys.PolicyKey` (SJF,
-criticality, DAG-aware — and FCFS, which the keyed engine also models as
-a zero-width key), the index-priority engine in
-:mod:`repro.cluster.policy_engine` must reproduce the event-driven
-reference exactly — sample times, queue depth, busy instances,
-completion times, latencies, drops, RNG end state, and service-pool
-state — across seeds, platforms, and congestion/drop regimes.
+criticality, DAG-aware — and FCFS, a zero-width key), the fault-free
+kernel in :mod:`repro.cluster.fast_engine` must reproduce the
+event-driven reference exactly — sample times, queue depth, busy
+instances, completion times, latencies, drops, RNG end state, and
+service-pool state — across seeds, platforms, and congestion/drop
+regimes.  Racks whose keys all tie must take the kernel's FIFO branch,
+and any other rack its key-heap branch.
 """
 
 import numpy as np
 import pytest
 
+from repro.cluster import fast_engine
 from repro.cluster import simulation as simulation_module
 from repro.cluster.control import observer_plane
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.policy_engine import run_keyed
 from repro.cluster.schedulers import PolicyFactory
 from repro.cluster.simulation import RackSimulation
+from repro.cluster.streaming import StreamedSeries
 from repro.cluster.trace import RequestTrace, TraceGenerator
 from repro.core.model import ServerlessExecutionModel
 from repro.errors import SchedulingError
@@ -208,7 +211,23 @@ def test_vectorized_keyed_policy_uses_keyed_engine(
     assert calls == ["sjf"]
 
 
-def test_unsorted_trace_still_falls_back_to_event(suite, models, estimates):
+def spy_on_kernel_entries(monkeypatch):
+    """Record the name of each entry into the fault-free kernel that
+    :meth:`RackSimulation.run` takes."""
+    entered = []
+    for name in ("run_vectorized", "run_keyed"):
+
+        def spy(*args, _name=name, _entry=getattr(simulation_module, name)):
+            entered.append(_name)
+            return _entry(*args)
+
+        monkeypatch.setattr(simulation_module, name, spy)
+    return entered
+
+
+def test_unsorted_trace_still_falls_back_to_event(
+    suite, models, estimates, monkeypatch
+):
     """The keyed engine assumes time-ordered arrivals; others fall back."""
     base = make_trace(suite, 0.02, 1)
     shuffled = RequestTrace(
@@ -217,13 +236,11 @@ def test_unsorted_trace_still_falls_back_to_event(suite, models, estimates):
         duration_seconds=base.duration_seconds,
     )
     factory = make_factory("sjf", suite, estimates)
-    sim = RackSimulation(
-        models["baseline"], suite, max_instances=4, seed=1, policy=factory
-    )
-    assert not sim._keyed_vectorizable(factory.build(), shuffled)
+    entered = spy_on_kernel_entries(monkeypatch)
     fast = RackSimulation(
         models["baseline"], suite, max_instances=4, seed=1, policy=factory
     ).run(shuffled, engine="vectorized")
+    assert entered == []
     event = RackSimulation(
         models["baseline"], suite, max_instances=4, seed=1, policy=factory
     ).run(shuffled, engine="event")
@@ -276,11 +293,11 @@ def test_unknown_app_coverage_matches_across_engines(suite, models):
 
 
 def test_fcfs_subclass_with_coverage_hook_routes_to_keyed_engine(
-    suite, models
+    suite, models, monkeypatch
 ):
-    """The FCFS fast path has no observe_app calls, so a subclass
-    carrying a coverage hook must take the keyed engine instead — same
-    results, hook honoured on both engines."""
+    """An FCFS subclass carrying a coverage hook enters the fault-free
+    kernel through the keyed entry (only plain FCFS takes
+    ``run_vectorized``) — same results, hook honoured on both engines."""
     from repro.cluster.schedulers import FCFSPolicy
 
     class ObservingFCFS(FCFSPolicy):
@@ -299,14 +316,99 @@ def test_fcfs_subclass_with_coverage_hook_routes_to_keyed_engine(
     sim = RackSimulation(
         models["baseline"], suite, max_instances=4, seed=1, policy=Factory()
     )
-    assert not sim._vectorizable(ObservingFCFS(), trace)
-    assert sim._keyed_vectorizable(ObservingFCFS(), trace)
+    entered = spy_on_kernel_entries(monkeypatch)
     series = sim.run(trace, engine="vectorized")
+    assert entered == ["run_keyed"]
     event_sim = RackSimulation(
         models["baseline"], suite, max_instances=4, seed=1, policy=Factory()
     )
     assert series.identical_to(event_sim.run(trace, engine="event"))
     assert sim.last_policy.seen == event_sim.last_policy.seen == set(suite)
+
+
+# Congested-stretch branch each policy must take on the benchmark suite:
+# the first four rank every app alike, so their racks are FIFO racks.
+BRANCH_POLICIES = {
+    "dag": "fifo",  # every suite app has the same accelerated count
+    "one-class criticality": "fifo",
+    "equal sjf": "fifo",
+    "unmapped sjf": "fifo",  # every app keys to +inf
+    "sjf": "keyed",
+}
+
+
+def branch_factory(policy, suite, estimates):
+    if policy == "one-class criticality":
+        return PolicyFactory(
+            "criticality", priorities=dict.fromkeys(suite, 2)
+        )
+    if policy == "equal sjf":
+        return PolicyFactory(
+            "sjf", service_estimates=dict.fromkeys(suite, 0.5)
+        )
+    if policy == "unmapped sjf":
+        return PolicyFactory(
+            "sjf", service_estimates={"not-an-app-of-the-trace": 0.5}
+        )
+    return make_factory(policy, suite, estimates)
+
+
+def spy_on_branches(monkeypatch):
+    """Count the arrivals each congested-stretch branch serves."""
+    served = {"fifo": [], "keyed": []}
+    for branch in served:
+        attribute = f"{branch}_stretch"
+        stretch = getattr(fast_engine._FaultFreeRun, attribute)
+
+        def spy(run, i, _stretch=stretch, _served=served[branch]):
+            j = _stretch(run, i)
+            _served.append(j - i)
+            return j
+
+        monkeypatch.setattr(fast_engine._FaultFreeRun, attribute, spy)
+    return served
+
+
+@pytest.mark.parametrize("chunk", (None, 1, 7, 64))
+@pytest.mark.parametrize("policy", sorted(BRANCH_POLICIES))
+def test_tied_key_racks_take_fifo_branch(
+    suite, models, estimates, policy, chunk, monkeypatch
+):
+    """A rack whose apps' keys all tie is served by the FIFO recurrence
+    (and a multi-class SJF rack by the key heap), materialized or
+    streamed, bit-identical to the oracle with the same coverage."""
+    trace = make_trace(suite, 0.05, 4)
+    assert set(trace.app_catalog) == set(suite)
+    factory = branch_factory(policy, suite, estimates)
+    kwargs = dict(max_instances=2, queue_depth=4, seed=4, policy=factory)
+    oracle_sim = RackSimulation(models["baseline"], suite, **kwargs)
+    oracle = oracle_sim.run(trace, engine="event")
+    assert oracle.dropped_requests > 0
+
+    served = spy_on_branches(monkeypatch)
+    sim = RackSimulation(models["baseline"], suite, **kwargs)
+    if chunk is None:
+        assert sim.run(trace, engine="vectorized").identical_to(oracle)
+        assert set(sim._service_samples) == set(oracle_sim._service_samples)
+        for name, pool in oracle_sim._service_samples.items():
+            assert np.array_equal(sim._service_samples[name], pool)
+    else:
+        streamed = sim.run(trace, engine="streaming", chunk_requests=chunk)
+        assert streamed.identical_to(StreamedSeries.from_series(oracle))
+    assert repr(sim._rng.bit_generator.state) == repr(
+        oracle_sim._rng.bit_generator.state
+    )
+    assert sim._service_cursor == oracle_sim._service_cursor
+
+    branch = BRANCH_POLICIES[policy]
+    other = "keyed" if branch == "fifo" else "fifo"
+    assert sum(served[branch]) > len(trace) // 4
+    assert served[other] == []
+
+    unknown = getattr(sim.last_policy, "unknown_apps", None)
+    assert unknown == getattr(oracle_sim.last_policy, "unknown_apps", None)
+    if policy == "unmapped sjf":
+        assert set(unknown) == set(suite)
 
 
 def test_pre_hook_external_policy_still_runs(suite, models):

@@ -11,10 +11,11 @@ back to the event-driven path.
 import numpy as np
 import pytest
 
+from repro.cluster import simulation as simulation_module
 from repro.cluster.fast_engine import sample_tick_times
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.trace import RequestTrace, TraceGenerator
-from repro.cluster.schedulers import FCFSPolicy, PolicyFactory
+from repro.cluster.schedulers import PolicyFactory
 from repro.core.model import ServerlessExecutionModel
 from repro.errors import ConfigurationError
 from repro.experiments.benchmarks import benchmark_suite
@@ -197,7 +198,9 @@ def test_explicit_fcfs_policy_still_vectorizable(suite, models):
     assert with_factory.identical_to(plain)
 
 
-def test_unsorted_trace_falls_back_to_event_engine(suite, models):
+def test_unsorted_trace_falls_back_to_event_engine(
+    suite, models, monkeypatch
+):
     """The fast engine assumes time-ordered arrivals; others fall back."""
     base = make_trace(suite, 0.02, 1)
     shuffled = RequestTrace(
@@ -205,11 +208,18 @@ def test_unsorted_trace_falls_back_to_event_engine(suite, models):
         app_names=tuple(reversed(base.app_names)),
         duration_seconds=base.duration_seconds,
     )
-    sim = RackSimulation(models["baseline"], suite, max_instances=4, seed=1)
-    assert not sim._vectorizable(FCFSPolicy(), shuffled)
+    entered = []
+    for name in ("run_vectorized", "run_keyed"):
+
+        def spy(*args, _name=name, _entry=getattr(simulation_module, name)):
+            entered.append(_name)
+            return _entry(*args)
+
+        monkeypatch.setattr(simulation_module, name, spy)
     fast = RackSimulation(
         models["baseline"], suite, max_instances=4, seed=1
     ).run(shuffled, engine="vectorized")
+    assert entered == []
     event = RackSimulation(
         models["baseline"], suite, max_instances=4, seed=1
     ).run(shuffled, engine="event")
