@@ -21,8 +21,9 @@ the shared ``bench_common`` schema to ``BENCH_autoscale.json``.  Each
 engine's wall clock is the median of three alternating runs, so the
 recorded speedup does not move with the run window; ``--skip-event``
 times the kernel once.  A separate ``zero_control_overhead`` section
-times the same chaos study with an inert ``ControlPlane()`` attached,
-pinning the cost of the control layer at zero until it is enabled.
+times the same chaos study with an inert ``ControlPlane()`` attached
+against the study with none (the same alternation), pinning the cost
+of the control layer at zero until it is enabled.
 
 Usage::
 
@@ -165,16 +166,20 @@ def main(argv=None) -> int:
 
     # Zero-control overhead: the same chaos study with an inert plane
     # runs the control kernel with no decision ticks, at the speed of a
-    # plain fault/retry run.
-    (_, _), inert_s = timed(
-        lambda: run_study(
+    # plain fault/retry run (timed against one with no plane attached).
+    def chaos(control):
+        return lambda: run_study(
             context, trace, "vectorized", args.max_instances, args.seed,
-            ControlPlane(),
+            control,
         )
+
+    (_, inert_s), (_, plain_s) = timed_alternating(
+        chaos(ControlPlane()), chaos(None), runs=1 if args.skip_event else 3
     )
     print(
         f"inert plane:  {inert_s:8.2f}s  "
-        f"({work_items / inert_s:9.0f} req/s, inert plane)"
+        f"({work_items / inert_s:9.0f} req/s, inert plane; "
+        f"{plain_s:.2f}s with none)"
     )
 
     record = build_record(
@@ -220,6 +225,7 @@ def main(argv=None) -> int:
     record["zero_control_overhead"] = {
         "wall_clock_s": round(inert_s, 3),
         "per_second": round(work_items / inert_s, 2),
+        "unconfigured_wall_clock_s": round(plain_s, 3),
     }
     write_record(args.output, record)
     print(f"wrote {args.output}")

@@ -17,9 +17,10 @@ kill counters, RNG end state), and writes the shared ``bench_common``
 schema to ``BENCH_faults.json``.  Each engine's wall clock is the
 median of three alternating runs, so the recorded speedup does not move
 with the run window; ``--skip-event`` times the kernel once.  A
-separate ``overhead`` section times the fault-free engine with inert
-fault objects attached, pinning the zero-fault cost of the
-availability layer at (near) zero.
+separate ``zero_fault_overhead`` section times the fault-free engine
+with inert fault objects attached against the study with none (the
+same alternation), pinning the zero-fault cost of the availability
+layer at (near) zero.
 
 Usage::
 
@@ -148,16 +149,23 @@ def main(argv=None) -> int:
         )
 
     # Zero-fault overhead: the same study with inert fault objects must
-    # route to (and run at the speed of) the fault-free fast engine.
-    (clean_series, _), clean_s = timed(
-        lambda: run_study(
+    # route to (and run at the speed of) the fault-free fast engine,
+    # timed against the study with none attached.
+    def fault_free(faults, retry):
+        return lambda: run_study(
             context, trace, "vectorized", args.max_instances, args.seed,
-            FaultSchedule(), RetryPolicy(),
+            faults, retry,
         )
+
+    (_, clean_s), (_, plain_s) = timed_alternating(
+        fault_free(FaultSchedule(), RetryPolicy()),
+        fault_free(None, None),
+        runs=1 if args.skip_event else 3,
     )
     print(
         f"zero-fault:   {clean_s:8.2f}s  "
-        f"({work_items / clean_s:9.0f} req/s, inert config)"
+        f"({work_items / clean_s:9.0f} req/s, inert config; "
+        f"{plain_s:.2f}s with none)"
     )
 
     record = build_record(
@@ -196,6 +204,7 @@ def main(argv=None) -> int:
     record["zero_fault_overhead"] = {
         "wall_clock_s": round(clean_s, 3),
         "per_second": round(work_items / clean_s, 2),
+        "unconfigured_wall_clock_s": round(plain_s, 3),
     }
     write_record(args.output, record)
     print(f"wrote {args.output}")

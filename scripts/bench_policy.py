@@ -19,6 +19,10 @@ queues retired.  The oracle and the
 vectorized engine must produce bit-identical series (drops, latencies,
 queue depth, busy instances, RNG end state) on every cell; the record is
 written in the shared ``bench_common`` schema to ``BENCH_policy.json``.
+Each wall clock is the median of three alternating runs — the two grids
+against each other, the linear-min cell against the heap oracle's own
+run of that cell — so the figures do not move with the run window;
+``--skip-event`` times the vectorized grid once.
 
 Usage::
 
@@ -38,6 +42,7 @@ from bench_common import (
     digest,
     engine_record,
     timed,
+    timed_alternating,
     write_record,
 )
 
@@ -176,18 +181,22 @@ def main(argv=None) -> int:
         f"{args.max_instances} instances"
     )
 
-    (fast_grid, ), fast_s = timed(
-        lambda: (
-            run_grid(
-                context,
-                trace,
-                "vectorized",
-                estimates_by_platform,
-                args.max_instances,
-                args.seed,
-            ),
+    def grid(engine):
+        return lambda: run_grid(
+            context,
+            trace,
+            engine,
+            estimates_by_platform,
+            args.max_instances,
+            args.seed,
         )
-    )
+
+    if args.skip_event:
+        fast_grid, fast_s = timed(grid("vectorized"))
+    else:
+        (fast_grid, fast_s), (event_grid, event_s) = timed_alternating(
+            grid("vectorized"), grid("event")
+        )
     fast = engine_record(
         "vectorized fault-free kernel", fast_s, work_items
     )
@@ -196,18 +205,6 @@ def main(argv=None) -> int:
     oracle = None
     extra_engines = {}
     if not args.skip_event:
-        (event_grid, ), event_s = timed(
-            lambda: (
-                run_grid(
-                    context,
-                    trace,
-                    "event",
-                    estimates_by_platform,
-                    args.max_instances,
-                    args.seed,
-                ),
-            )
-        )
         oracle = engine_record(
             "event-driven oracle (keyed-heap policies)", event_s, work_items
         )
@@ -229,17 +226,28 @@ def main(argv=None) -> int:
 
         if not args.skip_linear:
             platform, policy = LINEAR_CELL
-            linear_factory = LinearSJFFactory(estimates_by_platform[platform])
-            (linear_series, linear_rng), linear_s = timed(
-                lambda: run_cell(
+
+            def cell(factory):
+                return lambda: run_cell(
                     context,
                     trace,
                     "event",
                     platform,
-                    linear_factory,
+                    factory,
                     args.max_instances,
                     args.seed,
                 )
+
+            (
+                ((linear_series, linear_rng), linear_s),
+                (_, heap_s),
+            ) = timed_alternating(
+                cell(LinearSJFFactory(estimates_by_platform[platform])),
+                cell(
+                    make_factory(
+                        policy, context, estimates_by_platform, platform
+                    )
+                ),
             )
             reference_series, reference_rng = event_grid[LINEAR_CELL]
             if not (
@@ -258,11 +266,13 @@ def main(argv=None) -> int:
                     len(trace),
                 ),
                 cell={"platform": platform, "policy": policy},
+                heap_oracle_wall_clock_s=round(heap_s, 3),
             )
             print(
                 f"linear-min:   {linear_s:8.2f}s on the "
                 f"{platform}/{policy} cell alone "
-                f"({len(trace) / linear_s:9.0f} req/s)"
+                f"({len(trace) / linear_s:9.0f} req/s; heap oracle "
+                f"{heap_s:.2f}s)"
             )
 
     record = build_record(

@@ -40,7 +40,10 @@ kernels (fault-free, control), each run either materialized — one
 whole-trace chunk folded into a retaining
 :class:`~repro.cluster.simulation.SeriesSink` — or streamed — bounded
 chunks folded into a :class:`~repro.cluster.streaming.StreamedSeries`
-(:mod:`repro.cluster.streaming`).
+(:mod:`repro.cluster.streaming`).  All of them draw service times
+through one :mod:`repro.cluster.service_pools` per rack, under one
+rule: serial, windowed, read-ahead and bounded draws all consume the
+RNG in one order.
 
 The fleet layer (:mod:`repro.cluster.fleet`) scales all of the above to
 a multi-rack datacenter: a :class:`~repro.cluster.fleet.FleetTopology`

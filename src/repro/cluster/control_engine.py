@@ -44,7 +44,10 @@ Shared semantics, implemented twice:
   times, walked in event order with the gate, queue-full failures,
   timeouts and retries inline — re-injected requests waiting behind
   every trace request, as their keys say — and every service drawn at
-  its start, so nothing is tentative.  Only keyed queues step serially through
+  its start through a start-order read-ahead, so nothing is tentative
+  (:mod:`repro.cluster.service_pools`: serial, windowed, read-ahead
+  and bounded draws all consume the RNG in one order).  Only keyed
+  queues step serially through
   the keyed dispatch.  In-flight requests are one columnar sorted run
   (:class:`_InFlight`), so completions retire as array slices while
   nobody waits.  Like every rack kernel it walks the trace in chunks
@@ -90,7 +93,6 @@ from repro.cluster.fast_engine import (
     _WINDOW_MAX,
     _WINDOW_MIN,
     TickLog,
-    _ServicePools,
     admission_ranks,
     checked_chunks,
     key_prefixes,
@@ -214,7 +216,7 @@ def run_control_event(
     multiplier_at = timeline.multiplier_at
     observe_app = policy.observe_app
     key_for = policy.key.key_for
-    service_time = sim._service_time
+    service_time = sim.pools.draw
 
     app_names = list(trace.app_catalog)
     name_to_id = {name: i for i, name in enumerate(app_names)}
@@ -468,8 +470,6 @@ def run_control_event(
 _FLIGHT_DTYPES = (
     np.float64, np.int64, np.float64, np.intp, np.int64, np.int64
 )
-# Longest plain-list read-ahead of one app's service pool in a FIFO pass.
-_READ_AHEAD_MAX = 4096
 
 
 class _InFlight:
@@ -617,49 +617,6 @@ class _InFlight:
         return victims
 
 
-class _PoolReader:
-    """Service samples read in start order through per-app read-ahead.
-
-    The FIFO pass draws each start's service time when the start
-    happens, in the oracle's order, so no draw is tentative: every app
-    reads through a plain-list copy of its pool's next samples, and
-    only a read past the copy goes through
-    ``RackSimulation._service_time`` — which grows the pool exactly
-    when the oracle would.  :meth:`close` moves the pool cursors past
-    what was read.
-    """
-
-    def __init__(self, sim: "RackSimulation", app_names: List[str]) -> None:
-        self._sim = sim
-        self._names = app_names
-        self.runs: List[List[float]] = [[] for _ in app_names]
-        self.read = [0] * len(app_names)
-
-    def refill(self, app_id: int) -> float:
-        """The next sample of ``app_id`` once its read-ahead is spent."""
-        sim = self._sim
-        name = self._names[app_id]
-        cursors = sim._service_cursor
-        if self.read[app_id]:
-            cursors[name] += self.read[app_id]
-        value = sim._service_time(name)
-        offset = cursors[name] - sim._service_trim.get(name, 0)
-        size = min(max(2 * len(self.runs[app_id]), 64), _READ_AHEAD_MAX)
-        self.runs[app_id] = sim._service_samples[name][
-            offset : offset + size
-        ].tolist()
-        self.read[app_id] = 0
-        return value
-
-    def close(self) -> None:
-        cursors = self._sim._service_cursor
-        for app_id, count in enumerate(self.read):
-            if count:
-                cursors[self._names[app_id]] += count
-                self.read[app_id] = 0
-            self.runs[app_id] = []
-
-
 class _ControlRun:
     """The state one :func:`control_kernel` run walks, and its steps.
 
@@ -693,13 +650,13 @@ class _ControlRun:
         self.max_retries = retry.max_retries
         self.multiplier_at = timeline.multiplier_at
         self.observe_app = policy.observe_app
-        self.service_time = sim._service_time
+        self.service_time = sim.pools.draw
 
         app_names = list(source.app_catalog)
         self.app_names = app_names
         self.n_apps = len(app_names)
-        self.pools = _ServicePools(sim, app_names)
-        self.reader = _PoolReader(sim, app_names)
+        self.pools = sim.pools
+        self.reader = sim.pools.read_ahead(app_names)
         self.prefixes, self.fifo_rack = key_prefixes(policy, app_names)
 
         state = ControllerState(plane, sim._max_instances, app_names)
@@ -1159,13 +1116,11 @@ class _ControlRun:
             return hi
         hedge = self.hedge
         if hedge is not None:
-            draw_ids = np.repeat(ids_adm, 2)
-            values, events, snapshot = self.pools.peek(draw_ids)
+            values = self.pools.peek(np.repeat(ids_adm, 2), self.app_names)
             first = values[0::2]
             backup = values[1::2]
         else:
-            draw_ids = ids_adm
-            values, events, snapshot = self.pools.peek(ids_adm)
+            values = self.pools.peek(ids_adm, self.app_names)
             first = values
         mults = (
             self.timeline.multipliers(arr_adm)
@@ -1194,13 +1149,7 @@ class _ControlRun:
             committed = cut
         else:
             committed = int(positions[cut])
-        self.pools.commit(
-            draw_ids,
-            2 * cut if hedge is not None else cut,
-            events,
-            snapshot,
-            self.n_apps,
-        )
+        self.pools.commit(2 * cut if hedge is not None else cut)
         state.consume(cut)
         if positions is not None:
             # Sheds below the committed boundary are final now; later

@@ -23,11 +23,13 @@ formulation instead, :func:`fault_free_kernel`:
   tuples, and once arrivals stop the backlog drains in key order with
   one batched draw.
 
-Service times consume the simulation RNG in precisely the oracle's order:
-pools are drawn lazily per application (initial block at its first draw,
-doubling on exhaustion), and tentative draws made while sizing a window
-are rolled back — RNG state and pool contents restored, the committed
-prefix replayed — whenever the window is cut short.  The policy's
+Service times come from the simulation's
+:class:`~repro.cluster.service_pools.ServicePools`, under its one rule:
+serial, windowed, read-ahead and bounded draws all consume the RNG in
+one order, the oracle's.  Pass A and pass B read a window through
+``peek`` assuming every request starts and ``commit`` the prefix that
+did (growth draws past it are rolled back); pass C, the keyed dispatch
+and the drain draw serially or commit whole.  The policy's
 ``observe_app`` coverage hook sees every admitted application, once per
 application per committed window.
 
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -115,169 +117,6 @@ def admission_ranks(arrivals: np.ndarray) -> List[int]:
     ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = np.arange(len(order))
     return ranks.tolist()
-
-
-class _ServicePools:
-    """Chunk-granular view of the oracle's per-app service-sample pools.
-
-    Operates directly on the owning :class:`RackSimulation`'s pool dicts
-    (``_service_samples`` / ``_service_cursor``) so that single draws via
-    ``RackSimulation._service_time`` and batched draws interleave exactly
-    like the oracle's, and the post-run pool state matches bit for bit.
-    """
-
-    def __init__(self, sim: "RackSimulation", app_names: List[str]) -> None:
-        self._sim = sim
-        self._app_names = app_names
-
-    def _pool_len(self, name: str) -> int:
-        """Logical pool length: trimmed + physical + pending samples."""
-        pool = self._sim._service_samples.get(name)
-        if pool is None:
-            return 0
-        return (
-            self._sim._service_trim.get(name, 0)
-            + len(pool)
-            + self._sim._pool_pending(name)
-        )
-
-    def _grow(self, name: str, size: int) -> None:
-        """One oracle-order draw: initial block or doubling block."""
-        sim = self._sim
-        fresh = sim._pool_grow_block(name, size)
-        pool = sim._service_samples.get(name)
-        if pool is None:
-            sim._service_samples[name] = fresh
-            sim._service_cursor.setdefault(name, 0)
-        else:
-            sim._service_samples[name] = np.concatenate([pool, fresh])
-
-    def peek(
-        self, app_ids: np.ndarray
-    ) -> Tuple[np.ndarray, List[Tuple[int, int, int]], object]:
-        """Service times for a window, assuming every request is admitted.
-
-        Returns ``(values, grow_events, snapshot)``.  ``grow_events`` are
-        ``(window_position, app_id, draw_size)`` in the order the oracle
-        would perform the draws; ``snapshot`` restores RNG and pool state
-        if the caller commits only a prefix of the window.
-        """
-        from repro.cluster.simulation import pool_draw_size
-
-        sim = self._sim
-        values = np.empty(len(app_ids))
-        events: List[Tuple[int, int, int]] = []
-        positions: Dict[int, np.ndarray] = {}
-        for app_id in np.flatnonzero(np.bincount(app_ids)).tolist():
-            name = self._app_names[app_id]
-            pos = np.nonzero(app_ids == app_id)[0]
-            positions[app_id] = pos
-            cursor = sim._service_cursor.get(name, 0)
-            length = self._pool_len(name)
-            while length < cursor + len(pos):
-                size = pool_draw_size(length)
-                events.append((int(pos[length - cursor]), app_id, size))
-                length += size
-        snapshot = None
-        if events:
-            events.sort()
-            snapshot = (
-                sim._rng.bit_generator.state,
-                {
-                    self._app_names[app_id]: self._pool_state(
-                        self._app_names[app_id]
-                    )
-                    for _, app_id, _ in events
-                },
-            )
-            for _, app_id, size in events:
-                self._grow(self._app_names[app_id], size)
-        for app_id, pos in positions.items():
-            name = self._app_names[app_id]
-            offset = sim._service_cursor.get(name, 0) - sim._service_trim.get(
-                name, 0
-            )
-            need = offset + len(pos)
-            pool = sim._service_samples[name]
-            while len(pool) < need:
-                # Bounded-pool mode: part of the range is still pending;
-                # re-materialize it window by window.
-                pool = np.concatenate([pool, sim._pool_refill(name)])
-                sim._service_samples[name] = pool
-            values[pos] = pool[offset:need]
-        return values, events, snapshot
-
-    def _pool_state(self, name: str):
-        """Restorable (physical pool, pending blocks) pair for ``name``."""
-        sim = self._sim
-        pending = sim._service_pending.get(name)
-        return (
-            sim._service_samples.get(name),
-            None if pending is None else [list(block) for block in pending],
-        )
-
-    def commit(
-        self,
-        app_ids: np.ndarray,
-        committed: int,
-        events: List[Tuple[int, int, int]],
-        snapshot: object,
-        n_apps: int,
-    ) -> None:
-        """Advance cursors for the committed prefix; roll back the rest.
-
-        If any tentative growth draw belonged to a request beyond the
-        committed prefix, RNG and pool state are restored from
-        ``snapshot`` and only the in-prefix draws are replayed — in the
-        same order, from the same RNG states, hence with the same values.
-        """
-        sim = self._sim
-        if snapshot is not None and any(
-            pos >= committed for pos, _, _ in events
-        ):
-            rng_state, pools = snapshot
-            sim._rng.bit_generator.state = rng_state
-            for name, (pool, pending) in pools.items():
-                if pool is None:
-                    sim._service_samples.pop(name, None)
-                else:
-                    sim._service_samples[name] = pool
-                if pending is None:
-                    sim._service_pending.pop(name, None)
-                else:
-                    sim._service_pending[name] = [
-                        list(block) for block in pending
-                    ]
-            for pos, app_id, size in events:
-                if pos < committed:
-                    self._grow(self._app_names[app_id], size)
-        if committed:
-            counts = np.bincount(app_ids[:committed], minlength=n_apps)
-            for app_id in np.nonzero(counts)[0]:
-                name = self._app_names[int(app_id)]
-                sim._service_cursor[name] = sim._service_cursor.get(
-                    name, 0
-                ) + int(counts[app_id])
-
-    def compact(self) -> None:
-        """Physically drop consumed pool prefixes (streaming engines).
-
-        Cursors stay logical and ``_service_trim`` records the discarded
-        count, so the doubling growth schedule — and hence every future
-        RNG draw — is unchanged; only peak memory shrinks.  Must not be
-        called between :meth:`peek` and :meth:`commit` (the snapshot
-        holds physical arrays at the current trim).
-        """
-        sim = self._sim
-        for name, pool in sim._service_samples.items():
-            trim = sim._service_trim.get(name, 0)
-            consumed = sim._service_cursor.get(name, 0) - trim
-            # Compact only when the copy (surviving tail) is no larger
-            # than what it frees, keeping total copy work amortized
-            # linear in the number of draws.
-            if consumed >= 1024 and consumed >= len(pool) - consumed:
-                sim._service_samples[name] = pool[consumed:].copy()
-                sim._service_trim[name] = trim + consumed
 
 
 class Departures:
@@ -558,8 +397,6 @@ class StartOrderTelemetry:
         return sink.finalize()
 
 
-
-
 def key_prefixes(
     policy: "KeyedPolicy", app_names: List[str]
 ) -> Tuple[List[tuple], bool]:
@@ -615,10 +452,10 @@ class _FaultFreeRun:
         self.c = sim._max_instances
         self.qmax = sim._queue_depth
         self.app_names = list(source.app_catalog)
-        self.pools = _ServicePools(sim, self.app_names)
+        self.pools = sim.pools
         self.prefixes, self.fifo = key_prefixes(policy, self.app_names)
         self.observe_app = policy.observe_app
-        self.service_time = sim._service_time
+        self.service_time = sim.pools.draw
         self.telemetry = StartOrderTelemetry(sink)
         self.pending = Departures()
         self.queue: List[tuple] = []
@@ -632,14 +469,12 @@ class _FaultFreeRun:
         self.ids_list: List[int] = []
         self.base = 0
 
-    def commit(self, ids, committed: int, events, snapshot) -> None:
-        """Commit a window's first ``committed`` requests: advance the
-        pools (rolling back later draws), observe each admitted app once
-        — the policy's set-like coverage contract — and grow the next
-        window after a whole one, shrink it after a cut."""
-        self.pools.commit(
-            ids, committed, events, snapshot, len(self.app_names)
-        )
+    def commit(self, ids, committed: int) -> None:
+        """Commit a window's first ``committed`` requests: commit the
+        pools' window prefix, observe each admitted app once — the
+        policy's set-like coverage contract — and grow the next window
+        after a whole one, shrink it after a cut."""
+        self.pools.commit(committed)
         for app_id in np.flatnonzero(np.bincount(ids[:committed])).tolist():
             self.observe_app(self.app_names[app_id])
         self.window_size = (
@@ -655,14 +490,14 @@ class _FaultFreeRun:
         pending = self.pending
         arr = self.arrivals[i : i + self.window_size]
         ids = self.app_ids[i : i + self.window_size]
-        values, events, snapshot = self.pools.peek(ids)
+        values = self.pools.peek(ids, self.app_names)
         comps = arr + values
         comp_sorted = np.sort(comps)
         # cut >= 1: the first arrival finds a server free.
         cut = occupancy_cut(
             len(pending), pending.sorted(), arr, comp_sorted, self.c
         )
-        self.commit(ids, cut, events, snapshot)
+        self.commit(ids, cut)
         if cut < len(arr):
             arr, comps = arr[:cut], comps[:cut]
             comp_sorted = np.sort(comps)
@@ -708,7 +543,7 @@ class _FaultFreeRun:
                 # ---- Pass B: the recurrence over a window -----------
                 arr = self.arrivals[i : i + self.window_size]
                 ids = self.app_ids[i : i + self.window_size]
-                values, events, snapshot = self.pools.peek(ids)
+                values = self.pools.peek(ids, self.app_names)
                 starts_l: List[float] = []
                 comps_l: List[float] = []
                 append_start = starts_l.append
@@ -729,7 +564,7 @@ class _FaultFreeRun:
                 cut = occupancy_cut(
                     occupied, pending.sorted(), arr, comp_sorted, capacity
                 )
-                self.commit(ids, cut, events, snapshot)
+                self.commit(ids, cut)
                 starts = np.asarray(starts_l[:cut])
                 if cut < len(arr):
                     avail = None  # rebuilt from pending when next needed
@@ -832,10 +667,8 @@ class _FaultFreeRun:
         ids = np.fromiter(
             (entry[-1] for entry in backlog), dtype=np.intp, count=len(backlog)
         )
-        values, events, snapshot = self.pools.peek(ids)
-        self.pools.commit(
-            ids, len(backlog), events, snapshot, len(self.app_names)
-        )
+        values = self.pools.peek(ids, self.app_names)
+        self.pools.commit(len(backlog))
         servers = self.pending.drain()
         telemetry = self.telemetry
         for entry, service in zip(backlog, values.tolist()):

@@ -3,8 +3,13 @@
 Up to 200 function instances serve a request trace under FCFS scheduling
 with a bounded queue (depth 10,000).  Per-request service times are drawn
 from the execution model's latency distribution for the request's
-application, pre-sampled in bulk for speed.  Outputs the queue-depth and
-latency time series of Fig. 13 plus aggregate wall-clock statistics.
+application, pre-sampled in bulk for speed, through
+:attr:`RackSimulation.pools`, a
+:class:`~repro.cluster.service_pools.ServicePools`: the one owner of
+the rack RNG's draw schedule, under which serial, windowed, read-ahead
+and bounded draws all consume the RNG in one order.  Outputs the
+queue-depth and latency time series of Fig. 13 plus aggregate
+wall-clock statistics.
 
 Two kinds of engine produce those series:
 
@@ -64,38 +69,14 @@ from repro.cluster.schedulers import (
     PolicyFactory,
     QueuedRequest,
 )
+from repro.cluster.service_pools import ServicePools, ServiceSampleCache
 from repro.core.model import ServerlessExecutionModel
 from repro.cluster.trace import RequestTrace
 from repro.errors import ConfigurationError, SchedulingError
 from repro.serverless.application import Application
 from repro.sim.event_queue import Event, EventQueue
 
-# Number of latency samples pre-drawn per application.
-_PRESAMPLE_COUNT = 4096
-
-# Ceiling on one pool growth draw.  The pool doubles until a block
-# would exceed this, then grows in fixed blocks: unbounded doubling
-# makes the transient arrays inside a single ``sample_latencies`` call
-# O(trace), which would defeat the streaming engines' constant-memory
-# contract.  Part of the deterministic draw schedule shared by every
-# engine — changing it changes results for any simulation consuming
-# more than 2x this many samples per app.
-_POOL_BLOCK_MAX = 32_768
-
 _ENGINES = ("auto", "event", "vectorized", "streaming")
-
-
-def pool_draw_size(logical_length: int) -> int:
-    """Size of the next service-pool draw for a pool of ``logical_length``.
-
-    The deterministic draw schedule shared by every engine: an empty
-    pool draws a first block of ``_PRESAMPLE_COUNT``, and a pool that
-    runs dry doubles its logical length, one block capped at
-    ``_POOL_BLOCK_MAX``.  Every recorded check hash depends on it.
-    """
-    if logical_length == 0:
-        return _PRESAMPLE_COUNT
-    return min(logical_length, _POOL_BLOCK_MAX)
 
 
 def check_run_settings(engine: str, chunk_requests: Optional[int]) -> None:
@@ -125,54 +106,6 @@ def check_run_settings(engine: str, chunk_requests: Optional[int]) -> None:
             "chunk_requests only applies to engine='streaming'; "
             f"got engine={engine!r}"
         )
-
-
-class ServiceSampleCache:
-    """Memoised service-time draw blocks, shared across simulations.
-
-    A sweep runs the same platform model over the same trace under many
-    scenario knobs (instance counts, policies, cold starts); each run
-    draws the same pre-sample blocks from the same RNG states.  The cache
-    keys a draw by ``(model, application, count, cold, RNG state)`` and
-    replays the stored block *and* the post-draw RNG state on a hit, so
-    cached runs stay bit-identical to uncached ones.
-    """
-
-    def __init__(self) -> None:
-        self._blocks: Dict[tuple, tuple] = {}
-        # Strong refs keep id()-based keys unambiguous for the cache's
-        # lifetime (a collected model's id could otherwise be reused).
-        self._pinned: List[object] = []
-        self.hits = 0
-        self.misses = 0
-
-    def draw(
-        self,
-        model: ServerlessExecutionModel,
-        app: Application,
-        rng: np.random.Generator,
-        count: int,
-        cold: bool = False,
-    ) -> np.ndarray:
-        key = (
-            id(model),
-            id(app),
-            int(count),
-            bool(cold),
-            repr(rng.bit_generator.state),
-        )
-        cached = self._blocks.get(key)
-        if cached is not None:
-            values, state_after = cached
-            rng.bit_generator.state = state_after
-            self.hits += 1
-            return values
-        values = model.sample_latencies(app, rng, count, cold=cold)
-        self._blocks[key] = (values, rng.bit_generator.state)
-        self._pinned.append(model)
-        self._pinned.append(app)
-        self.misses += 1
-        return values
 
 
 def _empty_float_array() -> np.ndarray:
@@ -485,6 +418,8 @@ class RackSimulation:
     Defaults to FCFS, the paper's deployed policy (§5.3); pass a
     :class:`~repro.cluster.schedulers.PolicyFactory` to explore the
     paper's future-work policies (SJF, criticality-, DAG-aware).
+    :attr:`pools` holds the per-app service-time pools, which persist
+    across runs, and the RNG they draw on.
     """
 
     def __init__(
@@ -505,34 +440,17 @@ class RackSimulation:
             raise ConfigurationError(f"non-positive instances: {max_instances}")
         if queue_depth <= 0:
             raise ConfigurationError(f"non-positive queue depth: {queue_depth}")
-        self._model = model
         self._applications = dict(applications)
         self._max_instances = max_instances
         self._queue_depth = queue_depth
         self._rng = np.random.default_rng(seed)
+        self.pools = ServicePools(
+            model, self._applications, self._rng, cold, sample_cache
+        )
         self._policy_factory = policy
-        self._cold = cold
-        self._sample_cache = sample_cache
         self._faults = faults
         self._retry = retry
         self._control = control
-        self._service_samples: Dict[str, np.ndarray] = {}
-        self._service_cursor: Dict[str, int] = {}
-        # Logical offset of each physical pool's first element: the
-        # streaming engines compact consumed prefixes away, but the
-        # doubling growth schedule (and hence RNG consumption) is
-        # computed on the logical length, so draws stay identical.
-        self._service_trim: Dict[str, int] = {}
-        # Bounded-pool mode (streamed trace sources): block draws larger
-        # than this window retain only their leading slice; the rest is
-        # re-materialized on demand by replaying the recorded RNG state
-        # on a clone.  None = keep every drawn sample (default).
-        self._service_window: Optional[int] = None
-        # Per-app FIFO of partially materialized blocks:
-        # [pre-draw bit-generator state, block length, samples already
-        # appended to the physical pool].  Only the head block may have
-        # a prefix in the pool; later blocks wait in full.
-        self._service_pending: Dict[str, List[List[object]]] = {}
         self._last_policy: Optional[KeyedPolicy] = None
 
     @property
@@ -544,113 +462,6 @@ class RackSimulation:
         to assert an estimate table covered the whole trace.
         """
         return self._last_policy
-
-    def _draw_service_block(
-        self,
-        app_name: str,
-        count: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Draw ``count`` service times for ``app_name`` from the RNG."""
-        app = self._applications.get(app_name)
-        if app is None:
-            raise SchedulingError(f"unknown application {app_name!r}")
-        if rng is None:
-            rng = self._rng
-        if self._sample_cache is not None:
-            return self._sample_cache.draw(
-                self._model, app, rng, count, cold=self._cold
-            )
-        return self._model.sample_latencies(
-            app, rng, count, cold=self._cold
-        )
-
-    def _pool_pending(self, app_name: str) -> int:
-        """Drawn-but-not-yet-materialized sample count for ``app_name``."""
-        blocks = self._service_pending.get(app_name)
-        if not blocks:
-            return 0
-        return sum(int(length) - int(drawn) for _, length, drawn in blocks)
-
-    def _pool_grow_block(self, app_name: str, size: int) -> np.ndarray:
-        """One schedule draw; returns the slice to append to the pool.
-
-        The live RNG always consumes the full block — the growth
-        schedule is engine-invariant — but in bounded-pool mode only a
-        window of samples is kept: the pre-draw bit-generator state is
-        recorded and the remainder re-materialized later from a clone
-        (:meth:`_pool_refill`).  Blocks drawn while earlier blocks are
-        still pending contribute nothing to the pool yet (their turn
-        comes in FIFO order), so the physical pool always holds one
-        contiguous logical range.
-        """
-        window = self._service_window
-        blocks = self._service_pending.get(app_name)
-        if window is None or (size <= window and not blocks):
-            return self._draw_service_block(app_name, size)
-        state = self._rng.bit_generator.state
-        block = self._draw_service_block(app_name, size)
-        if blocks:
-            blocks.append([state, size, 0])
-            return block[:0]
-        keep = min(window, size)
-        if keep < size:
-            self._service_pending[app_name] = [[state, size, keep]]
-        return block[:keep].copy()
-
-    def _pool_refill(self, app_name: str) -> np.ndarray:
-        """Re-materialize the next window of the pending head block.
-
-        Replays the block's recorded draw on a cloned generator — same
-        state, same call, hence bit-identical values — and returns the
-        next unmaterialized slice.  The live RNG is untouched.
-        """
-        blocks = self._service_pending[app_name]
-        state, length, drawn = blocks[0]
-        bitgen = type(self._rng.bit_generator)()
-        bitgen.state = state
-        block = self._draw_service_block(
-            app_name, int(length), rng=np.random.Generator(bitgen)
-        )
-        window = self._service_window or int(length)
-        take = block[int(drawn) : int(drawn) + window].copy()
-        drawn = int(drawn) + len(take)
-        if drawn >= int(length):
-            blocks.pop(0)
-            if not blocks:
-                del self._service_pending[app_name]
-        else:
-            blocks[0][2] = drawn
-        return take
-
-    def _service_time(self, app_name: str) -> float:
-        """Next pre-sampled service time for ``app_name``.
-
-        The pool grows by :func:`pool_draw_size` (doubling, capped at
-        ``_POOL_BLOCK_MAX`` per block) when exhausted instead of
-        wrapping modulo its length — wrapping would replay the same
-        sample sequence and correlate service times across a long trace.
-        """
-        samples = self._service_samples.get(app_name)
-        if samples is None:
-            samples = self._pool_grow_block(app_name, pool_draw_size(0))
-            self._service_samples[app_name] = samples
-            self._service_cursor[app_name] = 0
-        cursor = self._service_cursor[app_name]
-        trim = self._service_trim.get(app_name, 0)
-        while cursor - trim >= len(samples):
-            if self._pool_pending(app_name):
-                fresh = self._pool_refill(app_name)
-            else:
-                # Logical length = discarded prefix + physical samples
-                # (no pending remainder at this point).
-                fresh = self._pool_grow_block(
-                    app_name, pool_draw_size(trim + len(samples))
-                )
-            samples = np.concatenate([samples, fresh])
-            self._service_samples[app_name] = samples
-        self._service_cursor[app_name] = cursor + 1
-        return float(samples[cursor - trim])
 
     def run(
         self,
@@ -757,7 +568,7 @@ class RackSimulation:
         def start_service(request: QueuedRequest, now: float) -> None:
             nonlocal busy
             busy += 1
-            service = self._service_time(request.app_name)
+            service = self.pools.draw(request.app_name)
             done = now + service
             events.push(Event(done, on_completion, (request, done)))
 

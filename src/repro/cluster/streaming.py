@@ -22,7 +22,10 @@ and *folded into telemetry* in bounded chunks of ``chunk_requests``:
   its heaps, queues, timers and service pools across chunk boundaries
   and stops its pass-A windows at each chunk end, so the chunking only
   partitions the work: every per-request decision, every service draw,
-  and the RNG end state are unchanged.
+  and the RNG end state are unchanged: the service pools
+  (:mod:`repro.cluster.service_pools`) compact at each chunk boundary,
+  and serial, windowed, read-ahead and bounded draws all consume the
+  RNG in one order.
 - **Telemetry side** — instead of a retaining sink, the kernel folds
   into a :class:`StreamedSeries` at each chunk boundary: tick series as
   per-tick counts, latency percentiles via the mergeable
@@ -398,14 +401,12 @@ def run_streaming(
     faults or retries are active), every other keyed policy (FCFS
     included) to the fault-free kernel.
 
-    Generator-backed sources additionally switch the simulation's
-    service pools into bounded (windowed-replay) mode for the duration
-    of the run: with no materialized trace anywhere, the pools are the
-    last O(trace) term, and replaying recorded RNG states on clones
-    bounds them too without touching the live RNG stream.  Materialized
-    traces keep fully materialized pools — the trace already costs
-    O(n), and skipping replay there keeps streaming throughput at the
-    materialized runs' level.
+    Generator-backed sources additionally run the simulation's service
+    pools bounded (``sim.pools.bounded``): with no materialized trace
+    anywhere, the pools are the last O(trace) term, and replay from
+    recorded RNG states bounds them too.  Materialized traces keep whole
+    pools — the trace already costs O(n), and skipping replay keeps
+    streaming throughput at the materialized runs' level.
     """
     from repro.cluster.trace import RequestTrace
 
@@ -418,12 +419,8 @@ def run_streaming(
     )
     if isinstance(source, RequestTrace):
         return _dispatch_streaming(sim, queue, source, sink, chunk_requests)
-    saved = sim._service_window
-    sim._service_window = max(chunk_requests, 4096)
-    try:
+    with sim.pools.bounded(chunk_requests):
         return _dispatch_streaming(sim, queue, source, sink, chunk_requests)
-    finally:
-        sim._service_window = saved
 
 
 def _dispatch_streaming(

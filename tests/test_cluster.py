@@ -174,15 +174,15 @@ class TestRackSimulation:
 
 class TestServiceSamplePool:
     def test_pool_grows_instead_of_wrapping(self, suite):
-        from repro.cluster.simulation import _PRESAMPLE_COUNT
+        from repro.cluster.service_pools import _PRESAMPLE_COUNT
 
         model = ServerlessExecutionModel(platform=dscs_dsa())
         sim = RackSimulation(model, suite, max_instances=4)
         app_name = next(iter(suite))
-        draws = [sim._service_time(app_name) for _ in range(_PRESAMPLE_COUNT + 10)]
-        pool = sim._service_samples[app_name]
+        draws = [sim.pools.draw(app_name) for _ in range(_PRESAMPLE_COUNT + 10)]
+        _, pool, length = sim.pools.retained(app_name)
         # Exhausting the initial pool doubled it rather than cycling.
-        assert len(pool) == 2 * _PRESAMPLE_COUNT
+        assert len(pool) == length == 2 * _PRESAMPLE_COUNT
         # The overflow draws must come from fresh samples, not a replay of
         # the first ten (a wrap would correlate long traces).
         assert draws[_PRESAMPLE_COUNT:] != draws[:10]
@@ -191,8 +191,8 @@ class TestServiceSamplePool:
         model = ServerlessExecutionModel(platform=dscs_dsa())
         sim = RackSimulation(model, suite, max_instances=4)
         app_name = next(iter(suite))
-        draws = [sim._service_time(app_name) for _ in range(100)]
-        pool = sim._service_samples[app_name]
+        draws = [sim.pools.draw(app_name) for _ in range(100)]
+        _, pool, _ = sim.pools.retained(app_name)
         assert draws == [float(x) for x in pool[:100]]
 
 

@@ -36,6 +36,7 @@ from repro.cluster.trace import TraceGenerator
 from repro.core.model import ServerlessExecutionModel
 from repro.experiments.benchmarks import benchmark_suite
 from repro.platforms.registry import baseline_cpu
+from tests.conftest import assert_same_draws
 
 SEEDS = (1, 2, 3)
 
@@ -133,13 +134,7 @@ def assert_bit_identical(runs):
     assert event_series.identical_to(fast_series)
     # Identity must extend to simulator state: the same RNG stream was
     # consumed in the same order, leaving the same pools behind.
-    assert repr(event_sim._rng.bit_generator.state) == repr(
-        fast_sim._rng.bit_generator.state
-    )
-    assert event_sim._service_cursor == fast_sim._service_cursor
-    assert set(event_sim._service_samples) == set(fast_sim._service_samples)
-    for name, pool in event_sim._service_samples.items():
-        assert np.array_equal(pool, fast_sim._service_samples[name])
+    assert_same_draws(fast_sim, event_sim)
 
 
 # ----------------------------------------------------------------------

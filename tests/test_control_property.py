@@ -41,6 +41,7 @@ from repro.cluster.trace import TraceGenerator
 from repro.core.model import ServerlessExecutionModel
 from repro.experiments.benchmarks import benchmark_suite
 from repro.platforms.registry import baseline_cpu
+from tests.conftest import assert_same_draws
 
 
 @pytest.fixture(scope="module")
@@ -160,17 +161,6 @@ def simulation_kwargs(config, suite, estimates):
     )
 
 
-def assert_same_state(sim, oracle_sim, pools):
-    assert repr(sim._rng.bit_generator.state) == repr(
-        oracle_sim._rng.bit_generator.state
-    )
-    assert sim._service_cursor == oracle_sim._service_cursor
-    if pools:
-        assert set(sim._service_samples) == set(oracle_sim._service_samples)
-        for name, pool in oracle_sim._service_samples.items():
-            assert np.array_equal(sim._service_samples[name], pool)
-
-
 def coverage(policy):
     """What a policy's coverage hook recorded."""
     return (
@@ -189,9 +179,9 @@ def run_and_compare(model, suite, trace, kwargs, chunk):
     else:
         series = sim.run(trace, engine="streaming", chunk_requests=chunk)
         assert series.identical_to(StreamedSeries.from_series(oracle))
-    # A streamed run compacts its pools: the cursors and the RNG carry
-    # the draw history instead.
-    assert_same_state(sim, oracle_sim, pools=chunk is None)
+    # A streamed run compacts its pools: they must agree wherever both
+    # runs still hold samples.
+    assert_same_draws(sim, oracle_sim)
     assert coverage(sim.last_policy) == coverage(oracle_sim.last_policy)
     return oracle
 

@@ -29,6 +29,7 @@ from repro.cluster.trace import RequestTrace, TraceGenerator
 from repro.core.model import ServerlessExecutionModel
 from repro.experiments.benchmarks import benchmark_suite
 from repro.platforms.registry import baseline_cpu, dscs_dsa
+from tests.conftest import assert_same_draws
 
 SEEDS = (1, 2, 3)
 
@@ -118,13 +119,7 @@ def assert_bit_identical(runs):
     assert event_series.identical_to(fast_series)
     # Identity must extend to simulator state: the same RNG stream was
     # consumed in the same order, leaving the same pools behind.
-    assert repr(event_sim._rng.bit_generator.state) == repr(
-        fast_sim._rng.bit_generator.state
-    )
-    assert event_sim._service_cursor == fast_sim._service_cursor
-    assert set(event_sim._service_samples) == set(fast_sim._service_samples)
-    for name, pool in event_sim._service_samples.items():
-        assert np.array_equal(pool, fast_sim._service_samples[name])
+    assert_same_draws(fast_sim, event_sim)
 
 
 @pytest.mark.parametrize("policy", ("fcfs", "sjf"))
@@ -271,9 +266,7 @@ def test_zero_fault_chaos_engines_reproduce_fault_free(
     for runner in (oracle, run_chaos_vectorized):
         sim, series = chaos_run(runner)
         assert series.identical_to(baseline)
-        assert repr(sim._rng.bit_generator.state) == repr(
-            baseline_sim._rng.bit_generator.state
-        )
+        assert_same_draws(sim, baseline_sim)
         assert series.retries == 0
         assert series.crash_kills == 0
 

@@ -27,6 +27,7 @@ from repro.core.model import ServerlessExecutionModel
 from repro.errors import SchedulingError
 from repro.experiments.benchmarks import benchmark_suite
 from repro.platforms.registry import baseline_cpu, dscs_dsa
+from tests.conftest import assert_same_draws
 
 SEEDS = (1, 2, 3)
 
@@ -100,13 +101,7 @@ def assert_bit_identical(runs):
     assert event_series.identical_to(fast_series)
     # Identity must extend to simulator state: the same RNG stream was
     # consumed in the same order, leaving the same pools behind.
-    assert repr(event_sim._rng.bit_generator.state) == repr(
-        fast_sim._rng.bit_generator.state
-    )
-    assert event_sim._service_cursor == fast_sim._service_cursor
-    assert set(event_sim._service_samples) == set(fast_sim._service_samples)
-    for name, pool in event_sim._service_samples.items():
-        assert np.array_equal(pool, fast_sim._service_samples[name])
+    assert_same_draws(fast_sim, event_sim)
 
 
 @pytest.mark.parametrize("platform", sorted(PLATFORM_BUILDERS))
@@ -186,9 +181,7 @@ def test_engines_identical_across_repeated_runs(suite, models, estimates):
         event_series = event_sim.run(trace, engine="event")
         fast_series = fast_sim.run(trace, engine="vectorized")
         assert event_series.identical_to(fast_series)
-    assert repr(event_sim._rng.bit_generator.state) == repr(
-        fast_sim._rng.bit_generator.state
-    )
+    assert_same_draws(fast_sim, event_sim)
 
 
 def test_vectorized_keyed_policy_uses_keyed_engine(
@@ -389,16 +382,10 @@ def test_tied_key_racks_take_fifo_branch(
     sim = RackSimulation(models["baseline"], suite, **kwargs)
     if chunk is None:
         assert sim.run(trace, engine="vectorized").identical_to(oracle)
-        assert set(sim._service_samples) == set(oracle_sim._service_samples)
-        for name, pool in oracle_sim._service_samples.items():
-            assert np.array_equal(sim._service_samples[name], pool)
     else:
         streamed = sim.run(trace, engine="streaming", chunk_requests=chunk)
         assert streamed.identical_to(StreamedSeries.from_series(oracle))
-    assert repr(sim._rng.bit_generator.state) == repr(
-        oracle_sim._rng.bit_generator.state
-    )
-    assert sim._service_cursor == oracle_sim._service_cursor
+    assert_same_draws(sim, oracle_sim)
 
     branch = BRANCH_POLICIES[policy]
     other = "keyed" if branch == "fifo" else "fifo"
@@ -491,7 +478,7 @@ def test_keyed_run_on_unknown_application_raises(
         with pytest.raises(SchedulingError, match="not-a-real-app"):
             sim.run(trace, engine=engine)
         assert repr(sim._rng.bit_generator.state) == state
-        assert sim._service_samples == {}
+        assert sim.pools.cursors() == {}
 
 
 @pytest.mark.parametrize("policy", ("fcfs", "criticality"))

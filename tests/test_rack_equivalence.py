@@ -20,6 +20,7 @@ from repro.core.model import ServerlessExecutionModel
 from repro.errors import ConfigurationError
 from repro.experiments.benchmarks import benchmark_suite
 from repro.platforms.registry import baseline_cpu, dscs_dsa
+from tests.conftest import assert_same_draws
 
 SEEDS = (1, 2, 3)
 RATE_SCALES = (0.02, 0.05)
@@ -67,13 +68,7 @@ def assert_bit_identical(runs):
     assert event_series.identical_to(fast_series)
     # Identity must extend to simulator state: the same RNG stream was
     # consumed in the same order, leaving the same pools behind.
-    assert repr(event_sim._rng.bit_generator.state) == repr(
-        fast_sim._rng.bit_generator.state
-    )
-    assert event_sim._service_cursor == fast_sim._service_cursor
-    assert set(event_sim._service_samples) == set(fast_sim._service_samples)
-    for name, pool in event_sim._service_samples.items():
-        assert np.array_equal(pool, fast_sim._service_samples[name])
+    assert_same_draws(fast_sim, event_sim)
 
 
 @pytest.mark.parametrize("platform", sorted(PLATFORM_BUILDERS))
@@ -134,9 +129,7 @@ def test_engines_identical_across_repeated_runs(suite, models):
         event_series = event_sim.run(trace, engine="event")
         fast_series = fast_sim.run(trace, engine="vectorized")
         assert event_series.identical_to(fast_series)
-    assert repr(event_sim._rng.bit_generator.state) == repr(
-        fast_sim._rng.bit_generator.state
-    )
+    assert_same_draws(fast_sim, event_sim)
 
 
 def test_auto_engine_matches_both(suite, models):

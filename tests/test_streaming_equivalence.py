@@ -46,6 +46,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.benchmarks import benchmark_suite
 from repro.experiments.common import BASELINE_NAME, build_context
 from repro.platforms.registry import baseline_cpu
+from tests.conftest import assert_same_draws
 
 # One request (a fold, watermark carry and pool compaction at every
 # arrival) / smaller than a busy period / a non-divisor of the trace /
@@ -218,12 +219,7 @@ def test_chunk_invariant_vs_materialized_and_oracle(family, model, suite):
         )
         for engine, (ref_sim, reference) in references.items():
             assert streamed.identical_to(reference), (family, chunk, engine)
-            assert repr(streamed_sim._rng.bit_generator.state) == repr(
-                ref_sim._rng.bit_generator.state
-            ), (family, chunk, engine)
-            assert (
-                streamed_sim._service_cursor == ref_sim._service_cursor
-            ), (family, chunk, engine)
+            assert_same_draws(streamed_sim, ref_sim)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -338,9 +334,7 @@ def test_streamed_trace_source_reproduces_generate(model, suite):
         generator.stream(stream_rng), engine="streaming", chunk_requests=123
     )
     assert streamed.identical_to(reference)
-    assert repr(streamed_sim._rng.bit_generator.state) == repr(
-        materialized_sim._rng.bit_generator.state
-    )
+    assert_same_draws(streamed_sim, materialized_sim)
     generate_rng = np.random.default_rng(5)
     generator.generate(generate_rng)
     assert repr(stream_rng.bit_generator.state) == repr(
@@ -394,21 +388,11 @@ def test_windowed_pools_stay_on_stream(family, chunk, model, suite):
         chunk_requests=chunk,
     )
     assert streamed.identical_to(reference), (family, chunk)
-    assert repr(streamed_sim._rng.bit_generator.state) == repr(
-        materialized_sim._rng.bit_generator.state
-    )
-    assert streamed_sim._service_cursor == materialized_sim._service_cursor
     # ~15k draws per app crosses several growth blocks: compaction must
     # have trimmed consumed samples, and what physically remains must be
     # the tail of the materialized pool at the same logical offsets.
-    assert any(
-        streamed_sim._service_trim.get(name, 0) > 0 for name in names
-    )
-    for name, pool in streamed_sim._service_samples.items():
-        trim = streamed_sim._service_trim.get(name, 0)
-        full = materialized_sim._service_samples.get(name)
-        assert full is not None
-        assert np.array_equal(pool, full[trim : trim + len(pool)]), name
+    assert any(streamed_sim.pools.retained(name)[0] > 0 for name in names)
+    assert_same_draws(streamed_sim, materialized_sim)
 
 
 # ----------------------------------------------------------------------
