@@ -6,7 +6,7 @@ balancer, then run three ways:
 
 - **sharded vectorized** (the fast engine) — racks fan out across a
   ``ProcessPoolExecutor`` of ``--workers`` processes, each rack on the
-  vectorized busy-period kernel;
+  materialized control kernel;
 - **serial vectorized** — the same shards, same engine, one process
   (isolates the parallel-scaling component of the speedup); and
 - **serial event-driven** (the oracle) — the same shards through the

@@ -6,11 +6,11 @@ platforms under a bursty trace — through
 
 - the **event-driven** engine with the heap-backed ``KeyedQueue``
   policies (the reference oracle after the priority-key refactor),
-- the **vectorized** fault-free kernel
-  (``repro.cluster.fast_engine``) — contention-free chunks batched in
-  numpy, congested stretches dispatched by a primitive-heap loop, or
-  by the FCFS recurrence where the policy's keys tie (DAG on this
-  suite) —
+- the **vectorized** rack kernel
+  (``repro.cluster.control_engine.control_kernel``) — contention-free
+  windows batched in numpy, congested stretches dispatched by a
+  primitive-heap loop, or by the FCFS recurrence where the policy's
+  keys tie (DAG on this suite) —
 
 and, on one representative saturated cell, the pre-refactor **linear
 min + list.remove** policy implementation (frozen in
@@ -19,10 +19,11 @@ queues retired.  The oracle and the
 vectorized engine must produce bit-identical series (drops, latencies,
 queue depth, busy instances, RNG end state) on every cell; the record is
 written in the shared ``bench_common`` schema to ``BENCH_policy.json``.
-Each wall clock is the median of three alternating runs — the two grids
-against each other, the linear-min cell against the heap oracle's own
-run of that cell — so the figures do not move with the run window;
-``--skip-event`` times the vectorized grid once.
+The two grids are timed as the median of three alternating runs, so
+their figures do not move with the run window; the linear-min cell,
+which only documents a retired implementation, runs once, alternating
+with the heap oracle's own run of that cell.  ``--skip-event`` times
+the vectorized grid once.
 
 Usage::
 
@@ -61,6 +62,9 @@ POLICIES = ("sjf", "criticality", "dag")
 # The cell the legacy linear-min implementation is timed on: the most
 # congested one, where its O(queue) pop hurts the most.
 LINEAR_CELL = (BASELINE_NAME, "sjf")
+# One alternating pair: at ~5 min a run, the cell only documents what the
+# heap-backed queues retired.
+LINEAR_RUNS = 1
 
 
 class LinearSJFFactory:
@@ -197,9 +201,7 @@ def main(argv=None) -> int:
         (fast_grid, fast_s), (event_grid, event_s) = timed_alternating(
             grid("vectorized"), grid("event")
         )
-    fast = engine_record(
-        "vectorized fault-free kernel", fast_s, work_items
-    )
+    fast = engine_record("control kernel", fast_s, work_items)
     print(f"vectorized:   {fast_s:8.2f}s  ({work_items / fast_s:9.0f} req/s)")
 
     oracle = None
@@ -248,6 +250,7 @@ def main(argv=None) -> int:
                         policy, context, estimates_by_platform, platform
                     )
                 ),
+                runs=LINEAR_RUNS,
             )
             reference_series, reference_rng = event_grid[LINEAR_CELL]
             if not (
@@ -267,6 +270,7 @@ def main(argv=None) -> int:
                 ),
                 cell={"platform": platform, "policy": policy},
                 heap_oracle_wall_clock_s=round(heap_s, 3),
+                runs=LINEAR_RUNS,
             )
             print(
                 f"linear-min:   {linear_s:8.2f}s on the "

@@ -6,9 +6,10 @@ instances, queue depth 10,000) through
 
 - the **event-driven** engine — one Python callback per arrival,
   completion, and sample tick (the reference oracle), and
-- the **vectorized** engine — the fault-free kernel in
-  ``repro.cluster.fast_engine``, whose FIFO branch runs FCFS as the
-  numpy busy-period recurrence —
+- the **vectorized** engine — the rack kernel,
+  ``repro.cluster.control_engine.control_kernel``, whose FIFO
+  recurrence serves FCFS over windows (pass B) and, near the
+  admission limit the Baseline rack reaches, serial steps (pass C) —
 
 checks the two produce bit-identical series (drops, latencies, queue
 depth, busy instances, RNG end state), and writes the shared
@@ -106,7 +107,9 @@ def main(argv=None) -> int:
             context, trace, "vectorized", args.max_instances, args.seed
         )
     )
-    fast = engine_record("numpy busy-period FCFS kernel", fast_s, work_items)
+    fast = engine_record(
+        "control kernel, FCFS (FIFO recurrence)", fast_s, work_items
+    )
     print(f"vectorized:   {fast_s:8.2f}s  ({work_items / fast_s:9.0f} req/s)")
 
     oracle = None

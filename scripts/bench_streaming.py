@@ -234,13 +234,13 @@ def main(argv=None) -> int:
             "policy": "fcfs",
         },
         fast=engine_record(
-            "streaming chunked engine",
+            "control kernel, streamed in chunks",
             stream_s,
             n,
             peak_mem_bytes=memory_rows[-1]["streaming_peak_bytes"],
         ),
         oracle=engine_record(
-            "vectorized busy-period engine",
+            "control kernel, materialized",
             mat_s,
             n,
             peak_mem_bytes=memory_rows[-1]["materialized_peak_bytes"],

@@ -6,17 +6,18 @@ queued requests.  Produces the arrival/queue-depth/latency time series
 of Fig. 13 and the wall-clock comparison of §6.2.2.  Every scheduling
 policy is a :class:`~repro.cluster.policy_keys.PolicyKey` (static
 per-app key vector + sequence tie-break), and every one — FCFS, SJF,
-criticality, DAG-aware — runs on one fault-free kernel
-(:mod:`repro.cluster.fast_engine`), enforced bit-identical against the
-event-driven oracle; :mod:`repro.cluster.sweep` fans scenario grids out
-over shared traces and service samples.
+criticality, DAG-aware — runs on one rack kernel
+(:func:`~repro.cluster.control_engine.control_kernel`), enforced
+bit-identical against the event-driven oracles;
+:mod:`repro.cluster.sweep` fans scenario grids out over shared traces
+and service samples.
 
 Fault injection rides on top: a seeded
 :class:`~repro.cluster.faults.FaultSchedule` (instance crashes,
 correlated node outages, slowdown spikes) and a
 :class:`~repro.cluster.faults.RetryPolicy` (queue timeouts, bounded
 retries with backoff + jitter, hedged dispatch) perturb any simulation
-deterministically, and degrade to the fault-free engines when inert.
+deterministically, and change nothing when inert.
 
 A closed-loop control plane (:mod:`repro.cluster.control`) sits above
 both: a deterministic controller observes per-tick telemetry and
@@ -25,18 +26,21 @@ scaling with warmup delays and graceful scale-downs, composing with
 fault timelines as ``min(autoscaled, surviving)``) and overload
 protection (token-bucket admission, CoDel-style queue-delay shedding,
 brownout by criticality, per-app circuit breakers) — again through an
-oracle and a kernel proven bit-identical
+oracle and the same kernel, proven bit-identical
 (:mod:`repro.cluster.control_engine`), with every shed recorded under
-the terminal ``shed`` drop reason.  Control subsumes chaos: a
-fault/retry run is a control run with an inert ``ControlPlane()``, so
-every fault/retry run takes the control family
-(:mod:`repro.cluster.chaos_engine` holds only its materialized
-inert-plane entry).
+the terminal ``shed`` drop reason.  Control subsumes chaos, and chaos
+the fault-free rack: a fault/retry run is a control run with an inert
+``ControlPlane()``, and a run with nothing active one with an empty
+fault timeline and ``RetryPolicy()`` too, which the kernel serves
+without its event walk.  :mod:`repro.cluster.fast_engine`,
+:mod:`repro.cluster.policy_engine` and :mod:`repro.cluster.chaos_engine`
+hold only materialized entries into it, named for the benchmark's
+probes.
 
 Rack engines, in all: two event oracles (the fault-free one inside
 :class:`~repro.cluster.simulation.RackSimulation` and
-:func:`~repro.cluster.control_engine.run_control_event`) and two
-kernels (fault-free, control), each run either materialized — one
+:func:`~repro.cluster.control_engine.run_control_event`) and one
+kernel, run either materialized — one
 whole-trace chunk folded into a retaining
 :class:`~repro.cluster.simulation.SeriesSink` — or streamed — bounded
 chunks folded into a :class:`~repro.cluster.streaming.StreamedSeries`

@@ -12,7 +12,7 @@ are documented in :mod:`repro.cluster.control_engine`.
 
 ``tests/test_fault_equivalence.py`` proves this entry bit-identical to
 the oracle — series, per-reason drops, chaos counters, RNG end state —
-and that a zero-fault timeline reproduces the fault-free kernels
+and that a zero-fault timeline reproduces the runs with nothing active
 exactly.
 """
 

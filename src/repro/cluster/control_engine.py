@@ -1,4 +1,8 @@
-"""The fault-aware rack engines: the control oracle and the control kernel.
+"""The rack kernel, and the fault-aware oracle it is checked against.
+
+One kernel, :func:`control_kernel`, serves every keyed-policy run on a
+time-ordered trace: FCFS, SJF, criticality and DAG-aware, with or
+without faults, retries and a control plane, materialized or streamed.
 
 A fault-aware run perturbs the rack.  A
 :class:`~repro.cluster.faults.FaultTimeline` steps fleet capacity up
@@ -13,7 +17,9 @@ autoscaling (live capacity becomes ``min(autoscaled, surviving)``,
 where ``surviving`` is the fault timeline's step function) and overload
 protection (token-bucket admission, CoDel-style queue shedding,
 brownout by criticality, per-app circuit breaking — every shed a
-terminal ``shed`` drop).
+terminal ``shed`` drop).  A run with nothing active gets an empty
+timeline, ``RetryPolicy()`` and ``ControlPlane()``
+(:func:`quiet_dynamics`).
 
 Same-timestamp events follow a strict rank order, extending the base
 simulator's ``arrival < tick < completion`` rule (a capacity crash is
@@ -33,38 +39,50 @@ Shared semantics, implemented twice:
 - :func:`control_kernel` — a next-event loop over the same sources.
   Faults and control events partition the timeline into capacity
   epochs; within one, trace arrivals are served in batches.
-  Contention-free stretches run through the windowed pass A of the
-  fault-free kernel (``completion = arrival + service``,
-  ``searchsorted`` occupancy checks, tentative-draw RNG rollback), the
-  arrival gate applied as a vectorized mask (token spend committed only
-  for the admitted prefix that actually starts; shed arrivals never
-  touch the RNG).  Congested stretches of a FIFO rack (one key prefix
-  for the whole catalog) run through the FIFO pass: the fault-free
-  kernel's virtual-server recurrence over the ``cap`` server-free
-  times, walked in event order with the gate, queue-full failures,
-  timeouts and retries inline — re-injected requests waiting behind
-  every trace request, as their keys say — and every service drawn at
-  its start through a start-order read-ahead, so nothing is tentative
-  (:mod:`repro.cluster.service_pools`: serial, windowed, read-ahead
-  and bounded draws all consume the RNG in one order).  Only keyed
-  queues step serially through
-  the keyed dispatch.  In-flight requests are one columnar sorted run
-  (:class:`_InFlight`), so completions retire as array slices while
-  nobody waits.  Like every rack kernel it walks the trace in chunks
-  and folds its events into a telemetry sink (see
-  :mod:`repro.cluster.fast_engine`): :func:`run_control_vectorized`
-  (active plane) and
+  Contention-free stretches run through the windowed pass A
+  (``completion = arrival + service``, ``searchsorted`` occupancy
+  checks, tentative-draw RNG rollback), the arrival gate applied as a
+  vectorized mask (token spend committed only for the admitted prefix
+  that actually starts; shed arrivals never touch the RNG).
+
+  On a *quiet* run — nothing but completions can rank between two trace
+  arrivals: an empty timeline, an inert plane and an inactive retry
+  policy — congested stretches need no event walk.  A FIFO rack (one
+  key prefix for the whole catalog) runs the multi-server recurrence
+  over the ``cap`` server-free times, which fixes each request's start
+  at admission: over windows with vectorized drop detection (pass B),
+  stepped serially near the admission limit (pass C).  A keyed rack
+  dispatches the min-``(*key, sequence)`` request at each completion
+  from a heap of server-free times, and drains its backlog in key order
+  with one batched draw once arrivals stop.
+
+  Otherwise congested stretches of a FIFO rack run through the FIFO
+  pass: the same recurrence walked in event order with the gate,
+  queue-full failures, timeouts and retries inline — re-injected
+  requests waiting behind every trace request, as their keys say — and
+  every service drawn at its start through a start-order read-ahead, so
+  nothing is tentative (:mod:`repro.cluster.service_pools`: serial,
+  windowed, read-ahead and bounded draws all consume the RNG in one
+  order).  Keyed queues step serially through the keyed dispatch.
+
+  In-flight requests are one columnar sorted run (:class:`_InFlight`),
+  so completions retire as array slices while nobody waits.  The
+  kernel walks the trace in chunks and folds its events into a
+  telemetry sink (see :mod:`repro.cluster.fast_engine`):
+  :func:`~repro.cluster.fast_engine.run_vectorized` (FCFS) and
+  :func:`~repro.cluster.policy_engine.run_keyed` with nothing active,
   :func:`~repro.cluster.chaos_engine.run_chaos_vectorized` (inert
-  plane) are one whole-trace chunk into a retaining sink,
-  ``engine="streaming"`` bounded chunks into a
-  :class:`~repro.cluster.streaming.StreamedSeries`.
+  plane) and :func:`run_control_vectorized` (active plane) are one
+  whole-trace chunk into a retaining sink, ``engine="streaming"``
+  bounded chunks into a :class:`~repro.cluster.streaming.StreamedSeries`.
 
 Control subsumes chaos: a fault/retry run is a control run whose plane
 does nothing.  An inert ``ControlPlane()`` schedules no decision ticks
 and records no control telemetry, so :func:`run_control_event` with an
 inert plane is the oracle of every fault/retry run, and
 :class:`~repro.cluster.simulation.RackSimulation` sends every such run
-on ``engine="event"`` or an unsorted trace there.
+on ``engine="event"`` or an unsorted trace there (a run with nothing
+active goes to its inline fault-free oracle instead).
 
 Failure handling is crash-only and loss-free in accounting terms: every
 trace request ends as exactly one completion or one reasoned drop
@@ -90,8 +108,6 @@ import numpy as np
 
 from repro.cluster.control import ControllerState, ControlPlane
 from repro.cluster.fast_engine import (
-    _WINDOW_MAX,
-    _WINDOW_MIN,
     TickLog,
     admission_ranks,
     checked_chunks,
@@ -116,6 +132,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.trace import RequestTrace
 
 _INF = float("inf")
+
+# Adaptive window sizing for the batched passes: grow while windows commit
+# whole, shrink back after a cut so drop bursts do not waste vector work.
+_WINDOW_MIN = 512
+_WINDOW_MAX = 32_768
+# Within this many requests of the admission limit (instances + queue
+# depth) a quiet FIFO rack steps serially (pass C): drops arrive one by
+# one there and windowed passes would be cut to confetti.
+_CAPACITY_MARGIN = 64
 
 # Same-timestamp event ranks (see module docstring).
 _RANK_FAULT = 0
@@ -475,13 +500,14 @@ _FLIGHT_DTYPES = (
 class _InFlight:
     """The requests in service, in canonical (completion, start order).
 
-    The :class:`~repro.cluster.fast_engine.Departures` of a kernel that
-    must know *who* completes: batched starts merge into one sorted run
-    of columns — completion, start sequence, original arrival, app id,
-    original trace index, attempt — with a list mirror of the
-    completions, so everything before a time retires with one bisect,
-    as array slices.  Requests started one at a time go to a small heap
-    of row tuples in the same field order.
+    Batched starts merge into one sorted run of columns — completion,
+    start sequence, original arrival, app id, original trace index,
+    attempt — with a list mirror of the completions, so everything
+    before a time retires with one bisect, as array slices.  Requests
+    started one at a time go to a small heap of row tuples in the same
+    field order.  Ties follow the event queue: an arrival ranks before
+    an equal-time completion, so a completion at exactly ``now`` stays
+    in service.
     """
 
     __slots__ = ("_cols", "_done", "_head", "_next", "_heap")
@@ -598,6 +624,12 @@ class _InFlight:
         self._absorb_heap()
         return self._cols[0][self._head :]
 
+    def ascending(self) -> Tuple[List[float], int]:
+        """Every completion in service as ``(done, head)``: the list
+        mirror ``done[head:]``, ascending, to read and not to change."""
+        self._absorb_heap()
+        return self._done, self._head
+
     def latest(self, count: int) -> List[float]:
         """The ``count`` latest completions, ascending (a valid heap)."""
         self._absorb_heap()
@@ -627,7 +659,10 @@ class _ControlRun:
     catalog) trace requests wait in ``fifo_queue`` — qseq order,
     consumed from ``fifo_head`` — and only re-injected requests go to
     the key heap ``qheap``, behind every trace request as their keys
-    say; on a keyed rack everything goes to ``qheap``.
+    say; on a keyed rack everything goes to ``qheap``.  A quiet FIFO
+    rack queues nothing: the recurrence fixes a waiting request's start
+    at admission, so it enters ``flight`` at once and ``busy`` counts it
+    (:meth:`fifo_stretch`).
     """
 
     def __init__(
@@ -675,6 +710,14 @@ class _ControlRun:
         self.ctrl_times = _decision_ticks(source, plane)
         self.activations: List[Tuple[float, int, int]] = []
         self.activation_counter = count()
+        # Nothing but completions can rank between two trace arrivals:
+        # no fault or slowdown step, no control event, no timer, no
+        # re-arrival, no gate, no hedge.  Such a run serves congested
+        # stretches without the event walk (:meth:`fifo_stretch`,
+        # :meth:`keyed_stretch`, :meth:`drain_backlog`).
+        self.quiet = (
+            timeline.empty_timeline and not plane.active and not retry.active
+        )
 
         # Tick-visible event logs.  ``pre`` events rank before an
         # equal-time sample tick (visible to it), ``post`` events after.
@@ -1059,6 +1102,19 @@ class _ControlRun:
 
     # ---- batched passes ------------------------------------------------
 
+    def observe(self, ids: np.ndarray) -> None:
+        """Show the policy's coverage hook each app in ``ids`` once, in
+        app-id order: its set-like contract, once per committed window."""
+        for app_id in np.flatnonzero(np.bincount(ids)).tolist():
+            self.observe_app(self.app_names[app_id])
+
+    def resize_window(self, whole: bool) -> None:
+        """Grow the next window after a whole one, shrink it after a
+        cut, so drop bursts do not waste vector work."""
+        self.window_size = (
+            min(self.window_size * 2, _WINDOW_MAX) if whole else _WINDOW_MIN
+        )
+
     def pass_a(
         self, i: int, t_fault: float, t_control: float, t_injected: float
     ) -> int:
@@ -1112,7 +1168,7 @@ class _ControlRun:
             # interaction, the whole window commits as drops.
             self.drop_times.extend(arr.tolist())
             self.drop_reasons.extend([REASON_SHED] * m)
-            self.window_size = min(self.window_size * 2, _WINDOW_MAX)
+            self.resize_window(True)
             return hi
         hedge = self.hedge
         if hedge is not None:
@@ -1122,12 +1178,12 @@ class _ControlRun:
         else:
             values = self.pools.peek(ids_adm, self.app_names)
             first = values
-        mults = (
-            self.timeline.multipliers(arr_adm)
-            if self.has_slowdowns
-            else np.ones(n_adm)
-        )
-        effective_first = mults * first
+        if self.has_slowdowns:
+            mults = self.timeline.multipliers(arr_adm)
+            effective_first = mults * first
+        else:
+            mults = 1.0
+            effective_first = first
         if hedge is not None:
             alternative = hedge + mults * backup
             effective = np.minimum(effective_first, alternative)
@@ -1158,8 +1214,7 @@ class _ControlRun:
             shed_at = np.nonzero(~mask[:committed])[0]
             self.drop_times.extend(arr[shed_at].tolist())
             self.drop_reasons.extend([REASON_SHED] * int(shed_at.size))
-        for committed_id in np.unique(ids_adm[:cut]).tolist():
-            self.observe_app(self.app_names[committed_id])
+        self.observe(ids_adm[:cut])
         if hedge is not None:
             self.hedges_launched += int(
                 np.count_nonzero(effective_first[:cut] > hedge)
@@ -1171,17 +1226,11 @@ class _ControlRun:
         origs = (
             np.arange(cut) if positions is None else positions[:cut]
         ) + (self.base + i)
-        self.flight.add(
+        self.begin(
             comp_opt[:cut], arr_adm[:cut], ids_adm[:cut], origs,
-            np.zeros(cut, dtype=np.int64), self.start_counter,
+            np.zeros(cut, dtype=np.int64),
         )
-        self.start_counter += cut
-        self.busy += cut
-        self.window_size = (
-            min(self.window_size * 2, _WINDOW_MAX)
-            if committed == m
-            else _WINDOW_MIN
-        )
+        self.resize_window(committed == m)
         return i + committed
 
     def fifo_pass(self, i: int, cut: float, cut_rank: int) -> int:
@@ -1459,16 +1508,7 @@ class _ControlRun:
                 log.extend(np.array(times))
         if begun:
             _, app, orig, attempt, arrival = zip(*begun)
-            self.flight.add(
-                np.array(dones),
-                np.array(arrival),
-                np.array(app, dtype=np.intp),
-                np.array(orig, dtype=np.int64),
-                np.array(attempt, dtype=np.int64),
-                self.start_counter,
-            )
-            self.start_counter += len(begun)
-            self.busy += len(begun)
+            self.begin(dones, arrival, app, orig, attempt)
         # The completions the recurrence passed through: every one
         # ranked before the end.
         self.retire_bulk(end)
@@ -1514,6 +1554,316 @@ class _ControlRun:
             return effective
 
         return adjust
+
+    # ---- quiet congested stretches -------------------------------------
+
+    def fifo_stretch(self, i: int) -> int:
+        """Serve trace arrivals from chunk index ``i`` while a quiet FIFO
+        rack's servers are all busy; returns the index of the first
+        arrival to find one free, or the chunk end.
+
+        Start order is admission order, so an admitted request starts at
+        ``max(arrival, min(avail))``, ``avail`` the ``cap`` server-free
+        times — the multi-server recurrence — and draws its service on
+        arrival.  A waiting request therefore enters ``flight`` at
+        admission, its queue pop and start logged ahead, and ``busy``
+        counts everyone in the system — the started requests wherever
+        nobody waits, and mid-chunk the stretch hands back to
+        :meth:`run` only at an arrival that finds a server free.  Pass B
+        runs the recurrence over a window, cut at its first queue-full
+        drop; within ``_CAPACITY_MARGIN`` of the admission limit pass C
+        steps serially.
+        """
+        arrivals_list = self.arrivals_list
+        n = len(arrivals_list)
+        c = self.cap
+        capacity = c + self.qmax
+        serial_threshold = max(c, capacity - _CAPACITY_MARGIN)
+        avail = None
+        while i < n:
+            self.retire_bulk(arrivals_list[i])
+            occupied = self.busy
+            if occupied < c:
+                break
+            if avail is None:
+                # Pop-min/push-completion keeps the c server-free times
+                # the c latest completions admitted so far, all still in
+                # the system; ascending order is already a heap.
+                avail = self.flight.latest(c)
+            if occupied < serial_threshold:
+                i, avail = self.pass_b(i, occupied, avail)
+            else:
+                i = self.pass_c(i, avail, serial_threshold)
+        return i
+
+    def pass_b(
+        self, i: int, occupied: int, avail: List[float]
+    ) -> Tuple[int, Optional[List[float]]]:
+        """Run the FIFO recurrence over a window from chunk index ``i``,
+        committing it up to its first queue-full drop (dropped too);
+        returns the index after what it served, and ``avail`` — or
+        ``None`` after a drop, whose later starts it assumed admitted."""
+        arrivals_list = self.arrivals_list
+        arr = self.arrivals[i : i + self.window_size]
+        ids = self.app_ids[i : i + self.window_size]
+        values = self.pools.peek(ids, self.app_names)
+        frees_l: List[float] = []
+        comps_l: List[float] = []
+        append_free = frees_l.append
+        append_comp = comps_l.append
+        for arrival, service in zip(
+            arrivals_list[i : i + len(arr)], values.tolist()
+        ):
+            free = avail[0]
+            append_free(free)
+            completion = (arrival if arrival > free else free) + service
+            append_comp(completion)
+            heapreplace(avail, completion)
+        comps = np.asarray(comps_l)
+        # The first arrival to find the queue full is dropped; the later
+        # starts assumed it admitted, so cut there.
+        cut = occupancy_cut(
+            occupied,
+            self.flight.completions(),
+            arr,
+            np.sort(comps),
+            self.cap + self.qmax,
+        )
+        self.pools.commit(cut)
+        self.observe(ids[:cut])
+        self.resize_window(cut == len(arr))
+        arr = arr[:cut]
+        frees = np.asarray(frees_l[:cut])
+        # A server freed before the arrival starts it at once; one freed
+        # at or after it pops it from the queue.
+        waits = frees >= arr
+        starts = frees[waits]
+        self.starts_pre.extend(arr[~waits])
+        self.enqueued.extend(arr[waits])
+        self.dequeued_post.extend(starts)
+        self.starts_post.extend(starts)
+        first = self.base + i
+        self.begin(
+            comps[:cut], arr, ids[:cut],
+            np.arange(first, first + cut, dtype=np.int64),
+            np.zeros(cut, dtype=np.int64),
+        )
+        if cut < len(ids):
+            self.drop_times.append(arrivals_list[i + cut])
+            self.drop_reasons.append(REASON_QUEUE_FULL)
+            return i + cut + 1, None
+        return i + cut, avail
+
+    def pass_c(self, i: int, avail: List[float], threshold: int) -> int:
+        """Step the FIFO recurrence serially from chunk index ``i`` while
+        ``threshold`` or more requests are in the system; returns the
+        index of the first arrival to find fewer, or the chunk end.
+
+        Near the admission limit drops arrive one by one.  The steps
+        count departures against a local copy (flight's ascending
+        completions, and a heap of the ones started here) and join
+        ``flight`` in one batch at the end.
+        """
+        arrivals_list = self.arrivals_list
+        ids_list = self.ids_list
+        n = len(arrivals_list)
+        base = self.base
+        capacity = self.cap + self.qmax
+        app_names = self.app_names
+        service_time = self.service_time
+        observe_app = self.observe_app
+        drop_times = self.drop_times
+        drop_reasons = self.drop_reasons
+        log_immediate = self.starts_pre.append
+        log_enqueue = self.enqueued.append
+        log_pop = self.dequeued_post.append
+        log_start = self.starts_post.append
+        done, head = self.flight.ascending()
+        end = len(done)
+        upcoming = done[head] if head < end else _INF
+        mine: List[float] = []  # completions started here, a heap
+        dones: List[float] = []
+        arrivals: List[float] = []
+        apps: List[int] = []
+        origs: List[int] = []
+        j = i
+        while j < n:
+            now = arrivals_list[j]
+            if upcoming < now:
+                head = bisect_left(done, now, head)
+                upcoming = done[head] if head < end else _INF
+            while mine and mine[0] < now:
+                heappop(mine)
+            occupied = end - head + len(mine)
+            if occupied < threshold:
+                break
+            j += 1
+            if occupied >= capacity:
+                drop_times.append(now)  # servers busy, queue full
+                drop_reasons.append(REASON_QUEUE_FULL)
+                continue
+            app_id = ids_list[j - 1]
+            name = app_names[app_id]
+            observe_app(name)
+            free = avail[0]
+            completion = (now if now > free else free) + service_time(name)
+            heapreplace(avail, completion)
+            heappush(mine, completion)
+            if now > free:
+                log_immediate(now)
+            else:
+                log_enqueue(now)
+                log_pop(free)
+                log_start(free)
+            dones.append(completion)
+            arrivals.append(now)
+            apps.append(app_id)
+            origs.append(base + j - 1)
+        self.begin(
+            dones, arrivals, apps, origs, np.zeros(len(dones), dtype=np.int64)
+        )
+        return j
+
+    def keyed_stretch(self, i: int) -> int:
+        """Serve trace arrivals from chunk index ``i`` while a quiet keyed
+        rack is congested; returns the index of the first arrival to
+        find the queue empty and a server free, or the chunk end.
+
+        Each completion before an arrival hands its server to the queued
+        request minimizing ``(*key, sequence)``, drawing its service at
+        that start — the oracle's order.  Every server stays busy while
+        a request waits, so an arrival here queues or, the queue full,
+        is dropped.  The stretch walks the server-free times as a heap
+        of floats and the key heap alone as the queue (nothing waits
+        there that is not queued); the requests it starts join
+        ``flight`` in batches, and ``queued`` is brought in line at the
+        end.
+        """
+        arrivals_list = self.arrivals_list
+        ids_list = self.ids_list
+        n = len(arrivals_list)
+        qheap = self.qheap
+        prefixes = self.prefixes
+        app_names = self.app_names
+        service_time = self.service_time
+        observe_app = self.observe_app
+        log_enqueue = self.enqueued.append
+        cap = self.cap
+        qmax = self.qmax
+        base = self.base
+        servers = self.flight.completions().tolist()  # ascending: a heap
+        # The starts, by column: queue pop, completion, original
+        # arrival, app id, trace index.
+        started: Tuple[List, ...] = ([], [], [], [], [])
+        pops, dones, arrivals, apps, origs = started
+        while i < n:
+            now = arrivals_list[i]
+            # Completions strictly before this arrival fire first (equal
+            # timestamps fire after: arrival < tick < completion); once
+            # the queue is empty the rest just depart.
+            while qheap and servers[0] < now:
+                freed = servers[0]
+                entry = heappop(qheap)
+                app_id = entry[-4]
+                completion = freed + service_time(app_names[app_id])
+                heapreplace(servers, completion)
+                pops.append(freed)
+                dones.append(completion)
+                arrivals.append(entry[-1])
+                apps.append(app_id)
+                origs.append(entry[-3])
+            if len(pops) >= _WINDOW_MAX:
+                # Hand a long stretch's starts over in bounded batches.
+                self.start_queued(*started)
+                self.retire_bulk(now)
+                for column in started:
+                    column.clear()
+            if not qheap:
+                while servers and servers[0] < now:
+                    heappop(servers)
+                if len(servers) < cap:
+                    break
+            if len(qheap) < qmax:
+                app_id = ids_list[i]
+                observe_app(app_names[app_id])
+                qseq = base + i
+                entry = prefixes[app_id] + (qseq, app_id, qseq, 0, now)
+                heappush(qheap, entry)
+                log_enqueue(now)
+            else:
+                self.drop_times.append(now)
+                self.drop_reasons.append(REASON_QUEUE_FULL)
+            i += 1
+        self.start_queued(*started)
+        # What completed before the last arrival seen has departed, so
+        # ``flight`` holds the requests in service (its servers).
+        self.retire_bulk(now)
+        queued = self.queued
+        queued.clear()
+        for entry in qheap:  # (enqueue time, sort key) of each waiting one
+            queued[entry[-5]] = (entry[-1], entry[:-4])
+        return i
+
+    def drain_backlog(self) -> None:
+        """Serve a quiet keyed rack's backlog once arrivals stop.
+
+        Every completion then hands its server to the min-(key,
+        sequence) request and nothing new enqueues, so the backlog is
+        served in sorted-queue order: one batched draw (pools replay the
+        oracle's per-dispatch order) feeds the recurrence over the
+        server-free times.
+        """
+        if not self.queued:
+            return
+        backlog = sorted(self.qheap)
+        apps = np.array([entry[-4] for entry in backlog], dtype=np.intp)
+        values = self.pools.peek(apps, self.app_names)
+        self.pools.commit(len(backlog))
+        servers = self.flight.completions().tolist()  # ascending: a heap
+        pops: List[float] = []
+        dones: List[float] = []
+        for service in values.tolist():
+            freed = servers[0]
+            done = freed + service
+            heapreplace(servers, done)
+            pops.append(freed)
+            dones.append(done)
+        self.start_queued(
+            pops, dones, [entry[-1] for entry in backlog], apps,
+            [entry[-3] for entry in backlog],
+        )
+        self.qheap.clear()
+        self.queued.clear()
+
+    def start_queued(self, pops, dones, arrivals, apps, origs) -> None:
+        """Start trace requests popped from the queue at ``pops`` (after
+        an equal-time sample tick), in start order: columns of
+        completion, original arrival, app id and trace index."""
+        if len(pops):
+            popped = np.array(pops)
+            self.dequeued_post.extend(popped)
+            self.starts_post.extend(popped)
+            self.begin(
+                dones, arrivals, apps, origs,
+                np.zeros(len(pops), dtype=np.int64),
+            )
+
+    def begin(self, done, arrival, app, orig, attempt) -> None:
+        """Add requests started in start order — columns of completion,
+        original arrival, app id, trace index and attempt — to
+        ``flight``, as the next start sequences."""
+        count = len(done)
+        if count:
+            self.flight.add(
+                np.asarray(done, dtype=np.float64),
+                np.asarray(arrival, dtype=np.float64),
+                np.asarray(app, dtype=np.intp),
+                np.asarray(orig, dtype=np.int64),
+                np.asarray(attempt, dtype=np.int64),
+                self.start_counter,
+            )
+            self.start_counter += count
+            self.busy += count
 
     # ---- the next-event loop -------------------------------------------
 
@@ -1565,6 +1915,8 @@ class _ControlRun:
             t_injected = injected[0][0] if injected else _INF
             t_next = min(t_fault, t_control, t_timer, t_trace, t_injected)
 
+            if t_next == _INF and self.quiet:
+                self.drain_backlog()
             # Completions strictly before the next ranked event fire
             # first (completion has the last rank), in the canonical
             # (completion, start order), feeding the telemetry window
@@ -1590,6 +1942,10 @@ class _ControlRun:
                 # A trace arrival ranks before an injected one.
                 if not (queued or self.busy >= self.cap):
                     i = self.pass_a(i, t_fault, t_control, t_injected)
+                elif self.quiet and fifo_rack:
+                    i = self.fifo_stretch(i)
+                elif self.quiet:
+                    i = self.keyed_stretch(i)
                 elif fifo_rack:
                     if t_fault <= t_control:
                         i = self.fifo_pass(i, t_fault, 0)
@@ -1605,6 +1961,17 @@ class _ControlRun:
             else:
                 _, _, request = heappop(injected)
                 self.admit(request, t_injected)
+
+
+def quiet_dynamics(
+    sim: "RackSimulation",
+) -> Tuple[FaultTimeline, RetryPolicy, ControlPlane]:
+    """The fault timeline, retry policy and plane of a run with nothing
+    active: an empty timeline at ``sim``'s full capacity,
+    ``RetryPolicy()`` and ``ControlPlane()``."""
+    return (
+        FaultTimeline.empty(sim._max_instances), RetryPolicy(), ControlPlane()
+    )
 
 
 def control_kernel(
@@ -1631,12 +1998,19 @@ def control_kernel(
       control event, the next injected re-arrival and the chunk end,
       with the arrival gate as a vectorized mask (token spend committed
       only for the admitted prefix that starts) and tentative service
-      draws rolled back as in the fault-free kernel;
-    - on a congested rack whose catalog shares one key prefix (FCFS),
-      the FIFO pass (:meth:`_ControlRun.fifo_pass`) serves trace and
-      injected arrivals up to the next fault, control event or chunk
-      end through the virtual-server recurrence, with the gate,
-      queue-full failures, timeouts and retries inline;
+      draws rolled back past the cut;
+    - on a congested quiet run (an empty ``timeline``, an inert
+      ``plane`` and an inactive ``retry``), a FIFO rack runs the
+      virtual-server recurrence over windows and serial steps
+      (:meth:`_ControlRun.fifo_stretch`) and a keyed rack the key-heap
+      dispatch (:meth:`_ControlRun.keyed_stretch`), its backlog drained
+      in key order once arrivals stop
+      (:meth:`_ControlRun.drain_backlog`);
+    - on any other congested rack whose catalog shares one key prefix
+      (FCFS), the FIFO pass (:meth:`_ControlRun.fifo_pass`) serves
+      trace and injected arrivals up to the next fault, control event
+      or chunk end through the virtual-server recurrence, with the
+      gate, queue-full failures, timeouts and retries inline;
     - otherwise (a keyed queue) an arrival steps serially through the
       keyed dispatch.
 

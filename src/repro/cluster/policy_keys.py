@@ -21,10 +21,11 @@ sequence.  This module makes that structure explicit:
 
 Two backends consume a :class:`PolicyKey`: the event-driven simulator
 (via :mod:`repro.cluster.schedulers`, whose policy classes are now thin
-wrappers over ``KeyedQueue``) and the fault-free kernel in
-:mod:`repro.cluster.fast_engine`, which serves congested stretches in
-the same ``(*key, sequence)`` order: on a primitive heap, or by the FCFS
-recurrence when every key of the trace ties.
+wrappers over ``KeyedQueue``) and the rack kernel,
+:func:`~repro.cluster.control_engine.control_kernel`, which serves
+congested stretches in the same ``(*key, sequence)`` order: on a
+primitive heap, or by the FCFS recurrence when every key of the trace
+ties.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ Every policy is a :class:`KeyedPolicy`: a declarative
 sequence tie-break) driving a heap-backed
 :class:`~repro.cluster.policy_keys.KeyedQueue` — O(log queue) per
 dispatch where the old imperative implementations paid a linear ``min``
-+ ``list.remove``.  The same key object also drives the fault-free
-kernel (:mod:`repro.cluster.fast_engine`), so the two backends cannot
-drift apart on what a policy *means*.
++ ``list.remove``.  The same key object also drives the rack kernel
+(:func:`~repro.cluster.control_engine.control_kernel`), so the two
+backends cannot drift apart on what a policy *means*.
 
 Policies only reorder the queue; admission (queue depth) and the
 run-to-completion execution model stay exactly as in the paper.

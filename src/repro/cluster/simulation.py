@@ -15,13 +15,14 @@ Two kinds of engine produce those series:
 
 - ``engine="event"`` — the reference oracle: a timestamp-ordered event
   queue firing one callback per arrival, completion, and sample tick.
-- ``engine="vectorized"`` — the fault-free kernel of
-  :mod:`repro.cluster.fast_engine`, bit-identical to the oracle (same
-  drops, same latencies, same series, same RNG end state) at a fraction
-  of the wall-clock cost, for FCFS and every policy driven by a
-  :class:`~repro.cluster.policy_keys.PolicyKey` (SJF / criticality /
-  DAG-aware): contention-free stretches in batches, congested ones by
-  the FCFS recurrence when every key ties, else a primitive-heap loop.
+- ``engine="vectorized"`` — the rack kernel,
+  :func:`~repro.cluster.control_engine.control_kernel`, bit-identical
+  to the oracle (same drops, same latencies, same series, same RNG end
+  state) at a fraction of the wall-clock cost, for FCFS and every
+  policy driven by a :class:`~repro.cluster.policy_keys.PolicyKey`
+  (SJF / criticality / DAG-aware): contention-free stretches in
+  batches; on a run with nothing active, congested ones by the FCFS
+  recurrence when every key ties, else a primitive-heap loop.
 
 The default ``engine="auto"`` vectorizes any keyed policy on a
 time-ordered trace; the event-driven oracle remains the fallback for
@@ -31,13 +32,18 @@ run is the kernel over one whole-trace chunk, folded into a retaining
 bounded chunks, folded into a
 :class:`~repro.cluster.streaming.StreamedSeries`.
 
-Runs with active faults, retries or a control plane take one
-fault-aware route: the control family, with an inert ``ControlPlane()``
-when only faults or retries are active.  ``engine="event"`` and unsorted
-traces run :func:`~repro.cluster.control_engine.run_control_event`;
-every other run takes the control kernel, entered through
-``run_control_vectorized`` (active plane) or ``run_chaos_vectorized``
-(inert plane) when materialized.
+Faults, retries and a control plane change only what the kernel is
+given: a run with none of them active gets an empty fault timeline,
+``RetryPolicy()`` and ``ControlPlane()``, one with only faults or
+retries active an inert ``ControlPlane()``.  The oracle differs:
+``engine="event"`` and unsorted traces run the inline fault-free oracle
+when nothing is active, else
+:func:`~repro.cluster.control_engine.run_control_event`.  A
+materialized kernel run enters through one of four entries, which only
+label it for the benchmark's probes: ``run_vectorized`` (FCFS) and
+``run_keyed`` (other keyed policies) with nothing active,
+``run_chaos_vectorized`` (inert plane) and ``run_control_vectorized``
+(active plane) otherwise.
 
 Every engine rejects a trace naming an application the simulation does
 not know, before any service draw.
@@ -473,9 +479,9 @@ class RackSimulation:
         """Simulate ``trace`` and return the measurement series.
 
         ``engine`` selects the execution strategy: ``"event"`` forces the
-        event-driven oracle, ``"vectorized"`` the fault-free kernel over
-        one whole-trace chunk (unsorted traces transparently fall back
-        to the oracle), ``"streaming"`` the same kernels in constant
+        event-driven oracle, ``"vectorized"`` the rack kernel over one
+        whole-trace chunk (unsorted traces transparently fall back to
+        the oracle), ``"streaming"`` the same kernel in constant
         memory (bounded chunks of at most ``chunk_requests`` arrivals
         folded into a :class:`~repro.cluster.streaming.StreamedSeries`
         — bit-identical decisions and RNG stream, no whole-trace
@@ -550,7 +556,7 @@ class RackSimulation:
             and isinstance(queue, KeyedPolicy)
             and self._time_ordered(trace)
         ):
-            # One kernel; its two entries only label the run for the
+            # One kernel; its entries only label the run for the
             # benchmark's probes, which wrap each by name.
             entry = run_vectorized if type(queue) is FCFSPolicy else run_keyed
             return entry(self, queue, trace, sample_interval_seconds)
@@ -657,10 +663,12 @@ class RackSimulation:
         """Timeline, retry policy and control plane of a fault-aware run.
 
         ``None`` when faults, retry and control are all inert: such a
-        run stays on the fault-free engines, so attaching no-op
-        configuration objects changes nothing.  Otherwise the run goes
-        to the control family, with an inert ``ControlPlane()`` when
-        only faults or retries are active — control subsumes chaos.
+        run takes the fault-free oracle or the kernel's quiet path
+        (:func:`~repro.cluster.control_engine.quiet_dynamics`), so
+        attaching no-op configuration objects changes nothing.
+        Otherwise the run goes to the control family, with an inert
+        ``ControlPlane()`` when only faults or retries are active —
+        control subsumes chaos.
         """
         control = self._control_active()
         if not (control or self._chaos_active()):

@@ -13,16 +13,14 @@ and *folded into telemetry* in bounded chunks of ``chunk_requests``:
   (:meth:`~repro.cluster.trace.RequestTrace.chunks`, or the
   generator-backed :class:`~repro.cluster.trace.StreamedTrace`); only
   one chunk is buffered at a time.
-- **Engine side** — the same two kernels a materialized run uses
-  (:func:`~repro.cluster.fast_engine.fault_free_kernel` for FCFS and
-  every keyed policy, and
-  :func:`~repro.cluster.control_engine.control_kernel`, which also
-  serves every fault/retry run with an inert ``ControlPlane()``), fed
-  bounded chunks instead of one whole-trace chunk.  Each kernel carries
-  its heaps, queues, timers and service pools across chunk boundaries
-  and stops its pass-A windows at each chunk end, so the chunking only
-  partitions the work: every per-request decision, every service draw,
-  and the RNG end state are unchanged: the service pools
+- **Engine side** — the kernel a materialized run uses
+  (:func:`~repro.cluster.control_engine.control_kernel`, for FCFS and
+  every keyed policy, with or without faults, retries or a control
+  plane), fed bounded chunks instead of one whole-trace chunk.  It
+  carries its heaps, queues, timers and service pools across chunk
+  boundaries and stops its pass-A windows at each chunk end, so the
+  chunking only partitions the work: every per-request decision, every
+  service draw, and the RNG end state are unchanged: the service pools
   (:mod:`repro.cluster.service_pools`) compact at each chunk boundary,
   and serial, windowed, read-ahead and bounded draws all consume the
   RNG in one order.
@@ -57,8 +55,8 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.control_engine import control_kernel
-from repro.cluster.fast_engine import fault_free_kernel, sample_tick_times
+from repro.cluster.control_engine import control_kernel, quiet_dynamics
+from repro.cluster.fast_engine import sample_tick_times
 from repro.cluster.faults import DROP_REASONS
 from repro.cluster.schedulers import KeyedPolicy
 from repro.errors import ConfigurationError
@@ -392,14 +390,15 @@ def run_streaming(
     sample_interval_seconds: float,
     chunk_requests: Optional[int] = None,
 ) -> StreamedSeries:
-    """Run ``source`` on the kernel matching the configuration, folding
-    bounded chunks into a :class:`StreamedSeries`.
+    """Run ``source`` on the rack kernel, folding bounded chunks into a
+    :class:`StreamedSeries`.
 
     Mirrors :meth:`RackSimulation.run`'s routing, with the same
-    configuration errors: any active fault, retry or control
-    configuration goes to the control kernel (an inert plane when only
-    faults or retries are active), every other keyed policy (FCFS
-    included) to the fault-free kernel.
+    configuration errors: the kernel gets the active fault, retry and
+    control configuration (an inert plane when only faults or retries
+    are active), or with nothing active an empty timeline,
+    ``RetryPolicy()`` and ``ControlPlane()`` for any keyed policy (FCFS
+    included).
 
     Generator-backed sources additionally run the simulation's service
     pools bounded (``sim.pools.bounded``): with no materialized trace
@@ -431,13 +430,11 @@ def _dispatch_streaming(
     chunk_requests: int,
 ) -> StreamedSeries:
     dynamics = sim._fault_dynamics(queue, source)
-    if dynamics is not None:
-        return control_kernel(
-            sim, queue, source, sink, chunk_requests, *dynamics
-        )
-    if isinstance(queue, KeyedPolicy):
-        return fault_free_kernel(sim, queue, source, sink, chunk_requests)
-    raise ConfigurationError(
-        "engine='streaming' requires FCFS or a keyed policy; got "
-        f"{type(queue).__name__}"
-    )
+    if dynamics is None:
+        if not isinstance(queue, KeyedPolicy):
+            raise ConfigurationError(
+                "engine='streaming' requires FCFS or a keyed policy; got "
+                f"{type(queue).__name__}"
+            )
+        dynamics = quiet_dynamics(sim)
+    return control_kernel(sim, queue, source, sink, chunk_requests, *dynamics)

@@ -19,8 +19,8 @@ Both reuses are bit-exact: a sweep cell produces the same
 standalone.  The per-figure harnesses (``fig13.run``, ``fig13.sweep``,
 ``fig13.policy_sweep``, ``fig15.run_rack``, ``fig16.run_rack``,
 ``fig17.run_rack``) are thin grids over this module.  Every policy cell
-(FCFS, sjf, criticality, dag) runs on the fault-free kernel of
-:mod:`repro.cluster.fast_engine`.
+(FCFS, sjf, criticality, dag) runs on the rack kernel,
+:func:`~repro.cluster.control_engine.control_kernel`.
 
 :meth:`RackSweep.simulate` is the one place under ``repro`` where rack
 knobs become a :class:`~repro.cluster.simulation.RackSimulation`: sweep

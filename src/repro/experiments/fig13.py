@@ -12,7 +12,8 @@ policy grid, reusing traces and service samples across cells.
 :func:`policy_sweep` (the ``fig13-policy`` experiment) is the
 scheduling-policy study: the same grid crossed with all four policies
 (FCFS and the paper's future-work SJF / criticality / DAG-aware), every
-cell running on the fault-free kernel of :mod:`repro.cluster.fast_engine`.
+cell running on the rack kernel,
+:func:`~repro.cluster.control_engine.control_kernel`.
 """
 
 from __future__ import annotations
@@ -382,12 +383,12 @@ def policy_sweep(
 ) -> List[ScenarioResult]:
     """The Fig. 13 grid crossed with every scheduling policy.
 
-    FCFS cells run on the busy-period engine, keyed policies (SJF,
-    criticality, DAG-aware) on the index-priority engine — all
-    bit-identical to the event-driven oracle, so the policy comparison
-    is exact, not approximate.  ``priorities`` takes ``"app=rank"``
-    pairs for the criticality cells (default: a deterministic
-    alphabetical ranking).
+    Every cell runs on the rack kernel — FCFS and tied keys (DAG-aware
+    on this suite) by its FIFO recurrence, SJF and criticality by its
+    key-heap dispatch — bit-identical to the event-driven oracle, so
+    the policy comparison is exact, not approximate.  ``priorities``
+    takes ``"app=rank"`` pairs for the criticality cells (default: a
+    deterministic alphabetical ranking).
     """
     return REGISTRY.run(
         "fig13-policy",

@@ -3,23 +3,25 @@
 The hand-picked cells of ``test_control_equivalence.py`` and
 ``test_fault_equivalence.py`` pin the control kernel on a few
 configurations; this suite draws them.  A derandomized ``hypothesis``
-strategy picks a FIFO or SJF key, a queue short enough for queue-full
-drops, a fault schedule with crashes and slowdowns, timeouts, retries
-and hedging, an inert, autoscaling (with warmup), shedding or
-token-admission control plane, a materialized run or a streamed one in
-small chunks, and the trace and simulation seeds.  Every run must equal
+strategy picks a FIFO, SJF or multi-class criticality key, a queue
+short enough for queue-full drops, a fault schedule with crashes and
+slowdowns, timeouts, retries and hedging (or no retry layer at all when
+faults or an active plane already make the run fault-aware), an inert,
+autoscaling (with warmup), shedding or token-admission control plane, a
+materialized run or a streamed one in small chunks, and the trace and
+simulation seeds.  Every run must equal
 :func:`~repro.cluster.control_engine.run_control_event` bit for bit —
 series, drops and reasons, counters, RNG end state and service pools.
 
 A fixed congested FIFO case also spies on the FIFO pass, so the suite
 cannot pass by sending every congested arrival down the serial path.
 
-The fault-free kernel gets the same treatment: with no faults, retry or
-plane, a second strategy draws FCFS, multi-class SJF and criticality,
-one-class criticality, the (tied) DAG key and an FCFS subclass with a
-coverage hook, short queues from a single instance up, and the run
-settings and seeds, against the inline oracle — including what the
-policy's coverage hook saw.
+The kernel's quiet runs get the same treatment: with no faults, retry
+or plane, a second strategy draws FCFS, multi-class SJF and
+criticality, one-class criticality, the (tied) DAG key and an FCFS
+subclass with a coverage hook, short queues from a single instance up,
+and the run settings and seeds, against the inline oracle — including
+what the policy's coverage hook saw.
 """
 
 import numpy as np
@@ -107,12 +109,14 @@ def make_plane(kind, priorities):
 
 configs = st.fixed_dictionaries(
     {
-        "policy": st.sampled_from(["fcfs", "sjf"]),
+        "policy": st.sampled_from(["fcfs", "sjf", "criticality"]),
         "max_instances": st.integers(2, 6),
         "queue_depth": st.integers(2, 12),
         "mtbf": st.sampled_from([None, 15.0, 60.0]),
         "slowdowns": st.booleans(),
         "fault_seed": st.integers(0, 9),
+        # Half the draws have no retry layer at all: timer-free runs.
+        "retry": st.booleans(),
         "timeout": st.sampled_from([None, 0.4, 1.5]),
         "max_retries": st.integers(0, 2),
         "backoff": st.sampled_from([0.0, 0.05, 0.3]),
@@ -135,29 +139,35 @@ def simulation_kwargs(config, suite, estimates):
         slowdown_duration_seconds=3.0,
         seed=config["fault_seed"],
     )
-    retry = RetryPolicy(
-        timeout_seconds=config["timeout"],
-        max_retries=config["max_retries"],
-        backoff_base_seconds=config["backoff"],
-        backoff_cap_seconds=1.0,
-        hedge_after_seconds=config["hedge"],
-    )
-    policy = (
-        PolicyFactory("sjf", service_estimates=estimates)
-        if config["policy"] == "sjf"
-        else None
-    )
+    retry = RetryPolicy()
+    if config["retry"]:
+        retry = RetryPolicy(
+            timeout_seconds=config["timeout"],
+            max_retries=config["max_retries"],
+            backoff_base_seconds=config["backoff"],
+            backoff_cap_seconds=1.0,
+            hedge_after_seconds=config["hedge"],
+        )
     priorities = {name: i % 3 for i, name in enumerate(sorted(suite))}
+    policy = None
+    if config["policy"] == "sjf":
+        policy = PolicyFactory("sjf", service_estimates=estimates)
+    elif config["policy"] == "criticality":
+        policy = PolicyFactory("criticality", priorities=priorities)
+    plane = make_plane(config["plane"], priorities)
+    if not (faults.active or plane is not None or retry.active):
+        # Timeouts only, so every run belongs to the control family; an
+        # inactive retry policy stays as drawn wherever faults or an
+        # active plane already put the run there.
+        retry = RetryPolicy(timeout_seconds=2.0)
     return dict(
         max_instances=config["max_instances"],
         queue_depth=config["queue_depth"],
         seed=config["seed"],
         policy=policy,
         faults=faults,
-        # Timeouts only: an active retry policy whatever else is drawn,
-        # so every run belongs to the control family.
-        retry=retry if retry.active else RetryPolicy(timeout_seconds=2.0),
-        control=make_plane(config["plane"], priorities),
+        retry=retry,
+        control=plane,
     )
 
 
@@ -264,7 +274,7 @@ fault_free_configs = st.fixed_dictionaries(
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(config=fault_free_configs)
-def test_fault_free_kernel_matches_oracle(config, model, suite, estimates):
+def test_quiet_runs_match_oracle(config, model, suite, estimates):
     trace = make_trace(suite, config["scale"], config["trace_seed"])
     kwargs = dict(
         max_instances=config["max_instances"],

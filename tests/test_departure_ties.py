@@ -77,3 +77,36 @@ def test_arrival_ranks_before_equal_time_completion(model, suite, kind):
     assert list(event.dropped_times) == [t1]
     assert event.identical_to(vectorized)
     assert StreamedSeries.from_series(event).identical_to(streamed)
+
+
+@pytest.mark.parametrize("kind", ["fcfs", "sjf"])
+def test_arrival_at_a_completion_and_a_tick_is_queued(model, suite, kind):
+    """A tick at exactly an arrival that ties a completion sees the
+    arrival queued and the completing request still busy: the queue pop
+    and start come with the completion, after the tick."""
+    name = next(iter(suite))
+    policy = policy_for(kind, name)
+    single = RequestTrace(np.array([0.0]), (name,), DURATION)
+    t1 = float(
+        simulate(model, suite, policy, single, "event").completed_times[0]
+    )
+    # Ticks every t1 put one at exactly t1, when the second request
+    # arrives and the first completes.
+    trace = RequestTrace(np.array([0.0, t1]), (name,) * 2, 3 * t1)
+
+    event = simulate(
+        model, suite, policy, trace, "event", sample_interval_seconds=t1
+    )
+    vectorized = simulate(
+        model, suite, policy, trace, "vectorized", sample_interval_seconds=t1
+    )
+    streamed = simulate(
+        model, suite, policy, trace, "streaming",
+        sample_interval_seconds=t1, chunk_requests=1,
+    )
+
+    assert event.sample_times[0] == t1
+    assert list(event.busy_instances) == [1, 1, 0]
+    assert list(event.queue_depth) == [1, 0, 0]
+    assert event.identical_to(vectorized)
+    assert StreamedSeries.from_series(event).identical_to(streamed)

@@ -10,8 +10,8 @@ there.  Everything the oracle produces — series, latencies, drop times
 service-pool state — must match the materialized inert-plane run of
 the control kernel (``run_chaos_vectorized``) exactly, across seeds,
 fault mixes, and both policy families (FCFS and keyed).  And a
-zero-fault schedule must degrade to today's fault-free engines bit for
-bit, including the recorded ``BENCH_rack.json`` check hash.
+zero-fault schedule must degrade to the runs with nothing active bit
+for bit, including the recorded ``BENCH_rack.json`` check hash.
 """
 
 import json
@@ -230,8 +230,8 @@ def test_zero_fault_chaos_engines_reproduce_fault_free(
 ):
     """The inert-plane control kernel and its oracle (the control
     oracle with an inert plane), run on an empty timeline + inert retry
-    policy, must
-    equal today's fault-free engines bit for bit."""
+    policy, must equal the runs with nothing active (the inline oracle
+    and the kernel's quiet paths) bit for bit."""
     from repro.cluster.chaos_engine import run_chaos_vectorized
     from repro.cluster.control_engine import run_control_event
 

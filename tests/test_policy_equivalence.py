@@ -1,20 +1,23 @@
-"""The fault-free kernel must be bit-identical to the oracle on every policy.
+"""The rack kernel must be bit-identical to the oracle on every policy.
 
 The keyed twin of ``tests/test_rack_equivalence.py``: for every policy
 driven by a :class:`~repro.cluster.policy_keys.PolicyKey` (SJF,
-criticality, DAG-aware — and FCFS, a zero-width key), the fault-free
-kernel in :mod:`repro.cluster.fast_engine` must reproduce the
-event-driven reference exactly — sample times, queue depth, busy
-instances, completion times, latencies, drops, RNG end state, and
-service-pool state — across seeds, platforms, and congestion/drop
-regimes.  Racks whose keys all tie must take the kernel's FIFO branch,
-and any other rack its key-heap branch.
+criticality, DAG-aware — and FCFS, a zero-width key), the rack kernel
+(:func:`~repro.cluster.control_engine.control_kernel`, quiet with
+nothing active) must reproduce the event-driven reference exactly —
+sample times, queue depth, busy instances, completion times, latencies,
+drops, RNG end state, and service-pool state — across seeds, platforms,
+and congestion/drop regimes.  Every such run, materialized or streamed,
+must enter that kernel; racks whose keys all tie must take its FIFO
+branch, and any other rack its key-heap branch.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
-from repro.cluster import fast_engine
+from repro.cluster import control_engine
 from repro.cluster import simulation as simulation_module
 from repro.cluster.control import observer_plane
 from repro.cluster.faults import RetryPolicy
@@ -205,8 +208,8 @@ def test_vectorized_keyed_policy_uses_keyed_engine(
 
 
 def spy_on_kernel_entries(monkeypatch):
-    """Record the name of each entry into the fault-free kernel that
-    :meth:`RackSimulation.run` takes."""
+    """Record the name of each entry into the rack kernel with nothing
+    active that :meth:`RackSimulation.run` takes."""
     entered = []
     for name in ("run_vectorized", "run_keyed"):
 
@@ -351,15 +354,55 @@ def spy_on_branches(monkeypatch):
     served = {"fifo": [], "keyed": []}
     for branch in served:
         attribute = f"{branch}_stretch"
-        stretch = getattr(fast_engine._FaultFreeRun, attribute)
+        stretch = getattr(control_engine._ControlRun, attribute)
 
         def spy(run, i, _stretch=stretch, _served=served[branch]):
             j = _stretch(run, i)
             _served.append(j - i)
             return j
 
-        monkeypatch.setattr(fast_engine._FaultFreeRun, attribute, spy)
+        monkeypatch.setattr(control_engine._ControlRun, attribute, spy)
     return served
+
+
+@pytest.mark.parametrize("chunk", (None, 64))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_every_keyed_run_enters_the_control_kernel(
+    suite, models, estimates, policy, chunk, monkeypatch
+):
+    """FCFS and every keyed policy with nothing active, materialized or
+    streamed, run as a quiet run of the one rack kernel — not the inline
+    oracle — and match that oracle."""
+    entered = []
+    kernel = control_engine.control_kernel
+
+    def spy(sim, queue, source, sink, chunk_requests, timeline, retry, plane):
+        entered.append((timeline.empty_timeline, retry.active, plane.active))
+        return kernel(
+            sim, queue, source, sink, chunk_requests, timeline, retry, plane
+        )
+
+    # Every module that bound the kernel by name calls the spy.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and vars(module).get(
+            "control_kernel"
+        ) is kernel:
+            monkeypatch.setattr(module, "control_kernel", spy)
+    trace = make_trace(suite, 0.05, 1)
+    kwargs = dict(
+        max_instances=4, seed=1, policy=make_factory(policy, suite, estimates)
+    )
+    oracle = RackSimulation(models["baseline"], suite, **kwargs).run(
+        trace, engine="event"
+    )
+    assert entered == []
+    sim = RackSimulation(models["baseline"], suite, **kwargs)
+    if chunk is None:
+        assert sim.run(trace).identical_to(oracle)
+    else:
+        streamed = sim.run(trace, engine="streaming", chunk_requests=chunk)
+        assert streamed.identical_to(StreamedSeries.from_series(oracle))
+    assert entered == [(True, False, False)]
 
 
 @pytest.mark.parametrize("chunk", (None, 1, 7, 64))
