@@ -1,8 +1,8 @@
-"""Perf harness: event-driven vs vectorized keyed-policy engines.
+"""Perf harness: event-driven oracle vs the control kernel on a keyed rack.
 
 Runs a saturated SJF rack through ``RackSimulation`` once per engine and
-checks both that the two are bit-identical and that the vectorized
-index-priority engine actually wins.  ``scripts/bench_policy.py`` times
+checks both that the two are bit-identical and that the control kernel
+(its key-heap dispatch) actually wins.  ``scripts/bench_policy.py`` times
 the full policy x platform study and records the trajectory in
 ``BENCH_policy.json``.
 """
@@ -74,7 +74,7 @@ def test_vectorized_policy_beats_event_driven(benchmark):
                 "req/s": round(len(trace) / event_s),
             },
             {
-                "engine": "vectorized index-priority",
+                "engine": "control kernel",
                 "wall_s": round(fast_s, 3),
                 "req/s": round(len(trace) / fast_s),
             },

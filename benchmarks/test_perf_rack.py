@@ -57,7 +57,7 @@ def test_vectorized_rack_beats_event_driven(benchmark):
                 "req/s": round(len(trace) / event_s),
             },
             {
-                "engine": "vectorized busy-period",
+                "engine": "control kernel",
                 "wall_s": round(fast_s, 3),
                 "req/s": round(len(trace) / fast_s),
             },

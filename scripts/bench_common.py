@@ -36,6 +36,8 @@ import tracemalloc
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 # The check-hash projection lives beside the fleet's per-rack hash, so
 # BENCH records, the fleet runner and the tests all hash the same bytes.
 from repro.cluster.fleet_engine import digest, series_digest
@@ -62,9 +64,11 @@ def check_workers(workers: Optional[int]) -> None:
 
 
 def machine_info() -> Dict[str, Any]:
-    """The fields needed to interpret a wall-clock number later."""
+    """The fields needed to interpret a wall-clock number later, and the
+    numpy whose ``Generator`` streams the check hashes were drawn from."""
     return {
         "python": platform.python_version(),
+        "numpy": np.__version__,
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),

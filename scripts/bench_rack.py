@@ -8,8 +8,8 @@ instances, queue depth 10,000) through
   completion, and sample tick (the reference oracle), and
 - the **vectorized** engine — the rack kernel,
   ``repro.cluster.control_engine.control_kernel``, whose FIFO
-  recurrence serves FCFS over windows (pass B) and, near the
-  admission limit the Baseline rack reaches, serial steps (pass C) —
+  recurrence serves FCFS over windows (pass B) with closed-form
+  queue-full drops, which the Baseline rack reaches —
 
 checks the two produce bit-identical series (drops, latencies, queue
 depth, busy instances, RNG end state), and writes the shared

@@ -50,11 +50,10 @@ Shared semantics, implemented twice:
   policy — congested stretches need no event walk.  A FIFO rack (one
   key prefix for the whole catalog) runs the multi-server recurrence
   over the ``cap`` server-free times, which fixes each request's start
-  at admission: over windows with vectorized drop detection (pass B),
-  stepped serially near the admission limit (pass C).  A keyed rack
-  dispatches the min-``(*key, sequence)`` request at each completion
-  from a heap of server-free times, and drains its backlog in key order
-  with one batched draw once arrivals stop.
+  at admission, over windows whose queue-full drops are closed-form
+  (pass B).  A keyed rack dispatches the min-``(*key, sequence)``
+  request at each completion from a heap of server-free times, and what
+  still waits when arrivals stop is dispatched like any waiting request.
 
   Otherwise congested stretches of a FIFO rack run through the FIFO
   pass: the same recurrence walked in event order with the gate,
@@ -110,6 +109,7 @@ from repro.cluster.control import ControllerState, ControlPlane
 from repro.cluster.fast_engine import (
     TickLog,
     admission_ranks,
+    admitted_counts,
     checked_chunks,
     key_prefixes,
     occupancy_cut,
@@ -137,10 +137,6 @@ _INF = float("inf")
 # whole, shrink back after a cut so drop bursts do not waste vector work.
 _WINDOW_MIN = 512
 _WINDOW_MAX = 32_768
-# Within this many requests of the admission limit (instances + queue
-# depth) a quiet FIFO rack steps serially (pass C): drops arrive one by
-# one there and windowed passes would be cut to confetti.
-_CAPACITY_MARGIN = 64
 
 # Same-timestamp event ranks (see module docstring).
 _RANK_FAULT = 0
@@ -624,12 +620,6 @@ class _InFlight:
         self._absorb_heap()
         return self._cols[0][self._head :]
 
-    def ascending(self) -> Tuple[List[float], int]:
-        """Every completion in service as ``(done, head)``: the list
-        mirror ``done[head:]``, ascending, to read and not to change."""
-        self._absorb_heap()
-        return self._done, self._head
-
     def latest(self, count: int) -> List[float]:
         """The ``count`` latest completions, ascending (a valid heap)."""
         self._absorb_heap()
@@ -714,7 +704,7 @@ class _ControlRun:
         # no fault or slowdown step, no control event, no timer, no
         # re-arrival, no gate, no hedge.  Such a run serves congested
         # stretches without the event walk (:meth:`fifo_stretch`,
-        # :meth:`keyed_stretch`, :meth:`drain_backlog`).
+        # :meth:`keyed_stretch`).
         self.quiet = (
             timeline.empty_timeline and not plane.active and not retry.active
         )
@@ -1570,15 +1560,11 @@ class _ControlRun:
         counts everyone in the system — the started requests wherever
         nobody waits, and mid-chunk the stretch hands back to
         :meth:`run` only at an arrival that finds a server free.  Pass B
-        runs the recurrence over a window, cut at its first queue-full
-        drop; within ``_CAPACITY_MARGIN`` of the admission limit pass C
-        steps serially.
+        runs the recurrence over windows, queue-full drops and all.
         """
         arrivals_list = self.arrivals_list
         n = len(arrivals_list)
         c = self.cap
-        capacity = c + self.qmax
-        serial_threshold = max(c, capacity - _CAPACITY_MARGIN)
         avail = None
         while i < n:
             self.retire_bulk(arrivals_list[i])
@@ -1590,50 +1576,75 @@ class _ControlRun:
                 # the c latest completions admitted so far, all still in
                 # the system; ascending order is already a heap.
                 avail = self.flight.latest(c)
-            if occupied < serial_threshold:
-                i, avail = self.pass_b(i, occupied, avail)
-            else:
-                i = self.pass_c(i, avail, serial_threshold)
+            i, avail = self.pass_b(i, occupied, avail)
         return i
 
     def pass_b(
         self, i: int, occupied: int, avail: List[float]
     ) -> Tuple[int, Optional[List[float]]]:
-        """Run the FIFO recurrence over a window from chunk index ``i``,
-        committing it up to its first queue-full drop (dropped too);
-        returns the index after what it served, and ``avail`` — or
-        ``None`` after a drop, whose later starts it assumed admitted."""
-        arrivals_list = self.arrivals_list
+        """Run the FIFO recurrence over a window from chunk index ``i``
+        with ``occupied`` requests in the system; returns the index
+        after what it committed, and ``avail`` — or ``None`` after a
+        cut, whose later starts it assumed.
+
+        Counting only the in-system completions strictly before each
+        arrival, the window's admissions are closed-form
+        (:func:`~repro.cluster.fast_engine.admitted_counts`); only the
+        admitted requests draw and step the recurrence, and the others
+        are queue-full drops.  A window completion strictly before a
+        predicted drop frees a slot for it, so the window commits up to
+        the first such drop.
+        """
+        capacity = self.cap + self.qmax
         arr = self.arrivals[i : i + self.window_size]
         ids = self.app_ids[i : i + self.window_size]
-        values = self.pools.peek(ids, self.app_names)
+        m = len(arr)
+        departed = np.searchsorted(
+            self.flight.completions(), arr, side="left"
+        )
+        counts = admitted_counts(capacity - occupied + departed)
+        steps = counts.copy()  # 1 at an admission, 0 at a drop
+        steps[1:] -= counts[:-1]
+        kept = steps.nonzero()[0]
+        dropped = (steps == 0).nonzero()[0]
+        ids_kept = ids[kept]
+        arr_kept = arr[kept]
+        values = self.pools.peek(ids_kept, self.app_names)
         frees_l: List[float] = []
         comps_l: List[float] = []
         append_free = frees_l.append
         append_comp = comps_l.append
-        for arrival, service in zip(
-            arrivals_list[i : i + len(arr)], values.tolist()
-        ):
+        for arrival, service in zip(arr_kept.tolist(), values.tolist()):
             free = avail[0]
             append_free(free)
             completion = (arrival if arrival > free else free) + service
             append_comp(completion)
             heapreplace(avail, completion)
         comps = np.asarray(comps_l)
-        # The first arrival to find the queue full is dropped; the later
-        # starts assumed it admitted, so cut there.
-        cut = occupancy_cut(
-            occupied,
-            self.flight.completions(),
-            arr,
-            np.sort(comps),
-            self.cap + self.qmax,
-        )
-        self.pools.commit(cut)
-        self.observe(ids[:cut])
-        self.resize_window(cut == len(arr))
-        arr = arr[:cut]
-        frees = np.asarray(frees_l[:cut])
+        cut = m
+        admitted = len(kept)
+        if admitted:
+            # The first predicted drop after the window's first
+            # completion finds a free slot after all: commit up to it.
+            late = int(np.searchsorted(arr[dropped], comps.min(), "right"))
+            if late < dropped.size:
+                cut = int(dropped[late])
+                admitted = int(counts[cut - 1])
+                dropped = dropped[:late]
+        self.pools.commit(admitted)
+        self.observe(ids_kept[:admitted])
+        if cut < m:
+            # The closed form held for ``cut`` arrivals and will hold
+            # about as far in the next window (a deep queue cuts every
+            # long window at ``cap + qmax`` admissions); restarting at
+            # the minimum would re-sort ``flight`` for each small window.
+            self.window_size = min(max(2 * cut, _WINDOW_MIN), _WINDOW_MAX)
+        else:
+            self.resize_window(True)
+        self.drop_times.extend(arr[dropped].tolist())
+        self.drop_reasons.extend([REASON_QUEUE_FULL] * len(dropped))
+        arr = arr_kept[:admitted]
+        frees = np.asarray(frees_l[:admitted])
         # A server freed before the arrival starts it at once; one freed
         # at or after it pops it from the queue.
         waits = frees >= arr
@@ -1642,87 +1653,12 @@ class _ControlRun:
         self.enqueued.extend(arr[waits])
         self.dequeued_post.extend(starts)
         self.starts_post.extend(starts)
-        first = self.base + i
         self.begin(
-            comps[:cut], arr, ids[:cut],
-            np.arange(first, first + cut, dtype=np.int64),
-            np.zeros(cut, dtype=np.int64),
+            comps[:admitted], arr, ids_kept[:admitted],
+            kept[:admitted] + (self.base + i),
+            np.zeros(admitted, dtype=np.int64),
         )
-        if cut < len(ids):
-            self.drop_times.append(arrivals_list[i + cut])
-            self.drop_reasons.append(REASON_QUEUE_FULL)
-            return i + cut + 1, None
-        return i + cut, avail
-
-    def pass_c(self, i: int, avail: List[float], threshold: int) -> int:
-        """Step the FIFO recurrence serially from chunk index ``i`` while
-        ``threshold`` or more requests are in the system; returns the
-        index of the first arrival to find fewer, or the chunk end.
-
-        Near the admission limit drops arrive one by one.  The steps
-        count departures against a local copy (flight's ascending
-        completions, and a heap of the ones started here) and join
-        ``flight`` in one batch at the end.
-        """
-        arrivals_list = self.arrivals_list
-        ids_list = self.ids_list
-        n = len(arrivals_list)
-        base = self.base
-        capacity = self.cap + self.qmax
-        app_names = self.app_names
-        service_time = self.service_time
-        observe_app = self.observe_app
-        drop_times = self.drop_times
-        drop_reasons = self.drop_reasons
-        log_immediate = self.starts_pre.append
-        log_enqueue = self.enqueued.append
-        log_pop = self.dequeued_post.append
-        log_start = self.starts_post.append
-        done, head = self.flight.ascending()
-        end = len(done)
-        upcoming = done[head] if head < end else _INF
-        mine: List[float] = []  # completions started here, a heap
-        dones: List[float] = []
-        arrivals: List[float] = []
-        apps: List[int] = []
-        origs: List[int] = []
-        j = i
-        while j < n:
-            now = arrivals_list[j]
-            if upcoming < now:
-                head = bisect_left(done, now, head)
-                upcoming = done[head] if head < end else _INF
-            while mine and mine[0] < now:
-                heappop(mine)
-            occupied = end - head + len(mine)
-            if occupied < threshold:
-                break
-            j += 1
-            if occupied >= capacity:
-                drop_times.append(now)  # servers busy, queue full
-                drop_reasons.append(REASON_QUEUE_FULL)
-                continue
-            app_id = ids_list[j - 1]
-            name = app_names[app_id]
-            observe_app(name)
-            free = avail[0]
-            completion = (now if now > free else free) + service_time(name)
-            heapreplace(avail, completion)
-            heappush(mine, completion)
-            if now > free:
-                log_immediate(now)
-            else:
-                log_enqueue(now)
-                log_pop(free)
-                log_start(free)
-            dones.append(completion)
-            arrivals.append(now)
-            apps.append(app_id)
-            origs.append(base + j - 1)
-        self.begin(
-            dones, arrivals, apps, origs, np.zeros(len(dones), dtype=np.int64)
-        )
-        return j
+        return i + cut, avail if cut == m else None
 
     def keyed_stretch(self, i: int) -> int:
         """Serve trace arrivals from chunk index ``i`` while a quiet keyed
@@ -1804,37 +1740,6 @@ class _ControlRun:
             queued[entry[-5]] = (entry[-1], entry[:-4])
         return i
 
-    def drain_backlog(self) -> None:
-        """Serve a quiet keyed rack's backlog once arrivals stop.
-
-        Every completion then hands its server to the min-(key,
-        sequence) request and nothing new enqueues, so the backlog is
-        served in sorted-queue order: one batched draw (pools replay the
-        oracle's per-dispatch order) feeds the recurrence over the
-        server-free times.
-        """
-        if not self.queued:
-            return
-        backlog = sorted(self.qheap)
-        apps = np.array([entry[-4] for entry in backlog], dtype=np.intp)
-        values = self.pools.peek(apps, self.app_names)
-        self.pools.commit(len(backlog))
-        servers = self.flight.completions().tolist()  # ascending: a heap
-        pops: List[float] = []
-        dones: List[float] = []
-        for service in values.tolist():
-            freed = servers[0]
-            done = freed + service
-            heapreplace(servers, done)
-            pops.append(freed)
-            dones.append(done)
-        self.start_queued(
-            pops, dones, [entry[-1] for entry in backlog], apps,
-            [entry[-3] for entry in backlog],
-        )
-        self.qheap.clear()
-        self.queued.clear()
-
     def start_queued(self, pops, dones, arrivals, apps, origs) -> None:
         """Start trace requests popped from the queue at ``pops`` (after
         an equal-time sample tick), in start order: columns of
@@ -1915,8 +1820,6 @@ class _ControlRun:
             t_injected = injected[0][0] if injected else _INF
             t_next = min(t_fault, t_control, t_timer, t_trace, t_injected)
 
-            if t_next == _INF and self.quiet:
-                self.drain_backlog()
             # Completions strictly before the next ranked event fire
             # first (completion has the last rank), in the canonical
             # (completion, start order), feeding the telemetry window
@@ -2001,11 +1904,9 @@ def control_kernel(
       draws rolled back past the cut;
     - on a congested quiet run (an empty ``timeline``, an inert
       ``plane`` and an inactive ``retry``), a FIFO rack runs the
-      virtual-server recurrence over windows and serial steps
-      (:meth:`_ControlRun.fifo_stretch`) and a keyed rack the key-heap
-      dispatch (:meth:`_ControlRun.keyed_stretch`), its backlog drained
-      in key order once arrivals stop
-      (:meth:`_ControlRun.drain_backlog`);
+      virtual-server recurrence over windows with closed-form
+      queue-full drops (:meth:`_ControlRun.fifo_stretch`) and a keyed
+      rack the key-heap dispatch (:meth:`_ControlRun.keyed_stretch`);
     - on any other congested rack whose catalog shares one key prefix
       (FCFS), the FIFO pass (:meth:`_ControlRun.fifo_pass`) serves
       trace and injected arrivals up to the next fault, control event

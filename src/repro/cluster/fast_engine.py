@@ -18,8 +18,9 @@ oracles and the streaming fold:
 - :class:`TickLog`, the per-tick counts of one kind of tick-visible
   event;
 - :func:`key_prefixes`, which tells a FIFO rack (every key tied) from a
-  keyed one, and :func:`occupancy_cut`, the vectorized admission check
-  of the kernel's batched windows.
+  keyed one, :func:`occupancy_cut`, the vectorized admission check of
+  the kernel's contention-free windows, and :func:`admitted_counts`,
+  the closed-form queue-full admissions of its congested FIFO windows.
 
 :func:`run_vectorized` is the kernel's materialized FCFS entry with
 nothing active, a name the benchmark's probes wrap; it calls the kernel
@@ -211,6 +212,20 @@ def occupancy_cut(
     )
     crossing = np.flatnonzero(in_system >= limit)
     return int(crossing[0]) if crossing.size else len(arrivals)
+
+
+def admitted_counts(free: np.ndarray) -> np.ndarray:
+    """How many of the first ``k + 1`` window arrivals are admitted, for
+    each ``k``, when arrival ``k`` is admitted iff fewer than ``free[k]``
+    arrivals before it were.
+
+    For nondecreasing ``free >= 0`` the serial rule ``A[k+1] = A[k] +
+    (A[k] < free[k])``, ``A[0] = 0``, keeps ``A[k] <= free[k]``, so
+    ``A[k+1] = min(A[k] + 1, free[k])``, which unrolls to ``k + min(1,
+    min(free[j] - j for j <= k))``: one running minimum.
+    """
+    k = np.arange(len(free))
+    return k + np.minimum(np.minimum.accumulate(free - k), 1)
 
 
 def run_vectorized(

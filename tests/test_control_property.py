@@ -19,9 +19,12 @@ cannot pass by sending every congested arrival down the serial path.
 The kernel's quiet runs get the same treatment: with no faults, retry
 or plane, a second strategy draws FCFS, multi-class SJF and
 criticality, one-class criticality, the (tied) DAG key and an FCFS
-subclass with a coverage hook, short queues from a single instance up,
-and the run settings and seeds, against the inline oracle — including
-what the policy's coverage hook saw.
+subclass with a coverage hook, short queues from a single instance up
+and deep ones that fill, and the run settings and seeds, against the
+inline oracle — including what the policy's coverage hook saw.  A fixed
+deep-queue FCFS case spies on pass B's bulk queue-full drops and cuts,
+and the closed-form admission count is checked against the serial rule
+it replaces.
 """
 
 import numpy as np
@@ -35,6 +38,7 @@ from repro.cluster.control import (
     ControlPlane,
     OverloadPolicy,
 )
+from repro.cluster.fast_engine import admitted_counts
 from repro.cluster.faults import FaultSchedule, RetryPolicy
 from repro.cluster.schedulers import FCFSPolicy, PolicyFactory
 from repro.cluster.simulation import RackSimulation
@@ -256,7 +260,10 @@ fault_free_configs = st.fixed_dictionaries(
             ]
         ),
         "max_instances": st.integers(1, 6),
-        "queue_depth": st.integers(1, 12),
+        # Short queues, and deep ones the congested rate fills: pass B
+        # windows then commit queue-full drops in bulk, and a window
+        # completion before a predicted drop cuts some of them.
+        "queue_depth": st.one_of(st.integers(1, 12), st.integers(150, 400)),
         "chunk": st.sampled_from([None, 1, 7, 64]),
         # A nearly idle rack, where some apps are only ever admitted in
         # contention-free windows, and a congested one.
@@ -283,6 +290,48 @@ def test_quiet_runs_match_oracle(config, model, suite, estimates):
         policy=fault_free_policy(config["policy"], suite, estimates),
     )
     run_and_compare(model, suite, trace, kwargs, config["chunk"])
+
+
+def test_pass_b_commits_queue_full_drops_in_bulk(model, suite, monkeypatch):
+    """A quiet FCFS rack whose deep queue fills commits queue-full drops
+    a window at a time, cuts a window where one of its own completions
+    frees a slot before a predicted drop, and still matches the
+    oracle."""
+    windows = []  # (drops committed, cut) per pass B window
+    pass_b = control_engine._ControlRun.pass_b
+
+    def spy(run, i, occupied, avail):
+        drops = len(run.drop_times)
+        j, avail = pass_b(run, i, occupied, avail)
+        windows.append((len(run.drop_times) - drops, avail is None))
+        return j, avail
+
+    monkeypatch.setattr(control_engine._ControlRun, "pass_b", spy)
+    trace = make_trace(suite, 0.06, 2)
+    kwargs = dict(max_instances=4, queue_depth=250, seed=5)
+    oracle = run_and_compare(model, suite, trace, kwargs, None)
+    assert oracle.drop_breakdown()["queue_full"] > 0
+    assert max(drops for drops, _ in windows) > 100
+    assert any(cut and drops for drops, cut in windows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    start=st.integers(0, 4),
+    # Mostly flat steps, so that arrivals find the queue full.
+    steps=st.lists(st.sampled_from([0, 0, 1, 2]), max_size=60),
+)
+def test_admitted_counts_follow_the_serial_rule(start, steps):
+    """The closed-form admissions of a congested FIFO window equal the
+    serial rule ``A[k+1] = A[k] + (A[k] < free[k])`` for every
+    nondecreasing ``free >= 0``."""
+    free = start + np.cumsum(np.array([0] + steps, dtype=np.int64))
+    expected = []
+    admitted = 0
+    for slots in free.tolist():
+        admitted += admitted < slots
+        expected.append(admitted)
+    assert admitted_counts(free).tolist() == expected
 
 
 def test_fifo_pass_serves_congested_arrivals(model, suite, monkeypatch):

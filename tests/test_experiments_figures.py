@@ -177,7 +177,10 @@ class TestFig12:
 
 class TestFig14:
     @pytest.fixture(scope="class")
-    def batch(self, context):
+    def batch(self):
+        # Baseline and DSCS only: the speedups read no other platform,
+        # and each platform seeds its own sampling RNG.
+        context = build_context(platform_names=[BASELINE_NAME, DSCS_NAME])
         return fig14.run(batches=(1, 8, 64), count=200, context=context)
 
     def test_speedup_grows_with_batch(self, batch):
