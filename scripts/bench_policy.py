@@ -10,24 +10,18 @@ platforms under a bursty trace — through
   (``repro.cluster.control_engine.control_kernel``) — contention-free
   windows batched in numpy, congested stretches dispatched by a
   primitive-heap loop, or by the FCFS recurrence where the policy's
-  keys tie (DAG on this suite) —
+  keys tie (DAG on this suite).
 
-and, on one representative saturated cell, the pre-refactor **linear
-min + list.remove** policy implementation (frozen in
-``repro.cluster.linear_policies``) to document what the heap-backed
-queues retired.  The oracle and the
-vectorized engine must produce bit-identical series (drops, latencies,
-queue depth, busy instances, RNG end state) on every cell; the record is
-written in the shared ``bench_common`` schema to ``BENCH_policy.json``.
-The two grids are timed as the median of three alternating runs, so
-their figures do not move with the run window; the linear-min cell,
-which only documents a retired implementation, runs once, alternating
-with the heap oracle's own run of that cell.  ``--skip-event`` times
-the vectorized grid once.
+The oracle and the vectorized engine must produce bit-identical series
+(drops, latencies, queue depth, busy instances, RNG end state) on every
+cell; the record is written in the shared ``bench_common`` schema to
+``BENCH_policy.json``.  The two grids are timed as the median of three
+alternating runs, so their figures do not move with the run window.
+``--skip-event`` times the vectorized grid once.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_policy.py [--rate-scale S] [--skip-linear]
+    PYTHONPATH=src python scripts/bench_policy.py [--rate-scale S] [--skip-event]
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from bench_common import (
     write_record,
 )
 
-from repro.cluster.linear_policies import LinearShortestJobFirstPolicy
 from repro.cluster.schedulers import PolicyFactory
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.sweep import (
@@ -58,23 +51,6 @@ from repro.cluster.trace import DEFAULT_RATE_ENVELOPE, TraceGenerator
 from repro.experiments.common import BASELINE_NAME, DSCS_NAME, build_context
 
 POLICIES = ("sjf", "criticality", "dag")
-
-# The cell the legacy linear-min implementation is timed on: the most
-# congested one, where its O(queue) pop hurts the most.
-LINEAR_CELL = (BASELINE_NAME, "sjf")
-# One alternating pair: at ~5 min a run, the cell only documents what the
-# heap-backed queues retired.
-LINEAR_RUNS = 1
-
-
-class LinearSJFFactory:
-    """Builds the frozen pre-refactor SJF queue (linear min+remove pop)."""
-
-    def __init__(self, service_estimates):
-        self._estimates = service_estimates
-
-    def build(self):
-        return LinearShortestJobFirstPolicy(self._estimates)
 
 
 def make_factory(policy, context, estimates_by_platform, platform):
@@ -162,11 +138,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="only time the vectorized engine (no oracle, no speedup field)",
     )
-    parser.add_argument(
-        "--skip-linear",
-        action="store_true",
-        help="skip the legacy linear-min timing cell",
-    )
     args = parser.parse_args(argv)
 
     context = build_context(platform_names=[BASELINE_NAME, DSCS_NAME])
@@ -205,7 +176,6 @@ def main(argv=None) -> int:
     print(f"vectorized:   {fast_s:8.2f}s  ({work_items / fast_s:9.0f} req/s)")
 
     oracle = None
-    extra_engines = {}
     if not args.skip_event:
         oracle = engine_record(
             "event-driven oracle (keyed-heap policies)", event_s, work_items
@@ -226,59 +196,6 @@ def main(argv=None) -> int:
             f"speedup: {round(event_s / fast_s, 2)}x (results bit-identical)"
         )
 
-        if not args.skip_linear:
-            platform, policy = LINEAR_CELL
-
-            def cell(factory):
-                return lambda: run_cell(
-                    context,
-                    trace,
-                    "event",
-                    platform,
-                    factory,
-                    args.max_instances,
-                    args.seed,
-                )
-
-            (
-                ((linear_series, linear_rng), linear_s),
-                (_, heap_s),
-            ) = timed_alternating(
-                cell(LinearSJFFactory(estimates_by_platform[platform])),
-                cell(
-                    make_factory(
-                        policy, context, estimates_by_platform, platform
-                    )
-                ),
-                runs=LINEAR_RUNS,
-            )
-            reference_series, reference_rng = event_grid[LINEAR_CELL]
-            if not (
-                linear_series.identical_to(reference_series)
-                and linear_rng == reference_rng
-            ):
-                print(
-                    "ERROR: linear-min cell disagrees — not recording",
-                    file=sys.stderr,
-                )
-                return 1
-            extra_engines["linear_min"] = dict(
-                engine_record(
-                    "event-driven, pre-refactor linear min+remove pop",
-                    linear_s,
-                    len(trace),
-                ),
-                cell={"platform": platform, "policy": policy},
-                heap_oracle_wall_clock_s=round(heap_s, 3),
-                runs=LINEAR_RUNS,
-            )
-            print(
-                f"linear-min:   {linear_s:8.2f}s on the "
-                f"{platform}/{policy} cell alone "
-                f"({len(trace) / linear_s:9.0f} req/s; heap oracle "
-                f"{heap_s:.2f}s)"
-            )
-
     record = build_record(
         benchmark="fig13_policy_study",
         workload={
@@ -293,7 +210,6 @@ def main(argv=None) -> int:
         oracle=oracle,
         check_hash=grid_digest(fast_grid),
     )
-    record["engines"].update(extra_engines)
     record["workload"]["peak_queue"] = {
         f"{platform}/{policy}": int(series.queue_depth.max())
         for (platform, policy), (series, _) in fast_grid.items()

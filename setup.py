@@ -1,7 +1,7 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package's only build configuration.
 
-Kept alongside pyproject.toml so the package installs editable in offline
-environments whose setuptools predates PEP 660 wheel-less editable builds.
+``pip install -e .`` installs it editable; the tests and scripts run
+from a checkout with ``PYTHONPATH=src`` instead.
 """
 
 from setuptools import find_packages, setup

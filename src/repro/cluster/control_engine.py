@@ -235,7 +235,6 @@ def run_control_event(
     hedge = retry.hedge_after_seconds
     max_retries = retry.max_retries
     multiplier_at = timeline.multiplier_at
-    observe_app = policy.observe_app
     key_for = policy.key.key_for
     service_time = sim.pools.draw
 
@@ -336,10 +335,8 @@ def run_control_event(
             shed(now)
             return
         if busy < cap:
-            observe_app(app_name)
             start_service(request, now)
         elif len(queue) < qmax:
-            observe_app(app_name)
             qseq = request[0]
             sort_key = (*key_for(app_name), qseq)
             handles[qseq] = queue.push(sort_key, request)
@@ -674,12 +671,10 @@ class _ControlRun:
         self.hedge = retry.hedge_after_seconds
         self.max_retries = retry.max_retries
         self.multiplier_at = timeline.multiplier_at
-        self.observe_app = policy.observe_app
         self.service_time = sim.pools.draw
 
         app_names = list(source.app_catalog)
         self.app_names = app_names
-        self.n_apps = len(app_names)
         self.pools = sim.pools
         self.reader = sim.pools.read_ahead(app_names)
         self.prefixes, self.fifo_rack = key_prefixes(policy, app_names)
@@ -710,13 +705,13 @@ class _ControlRun:
         )
 
         # Tick-visible event logs.  ``pre`` events rank before an
-        # equal-time sample tick (visible to it), ``post`` events after.
+        # equal-time sample tick (visible to it); queue pops at a
+        # completion (``popped``: a dequeue and a start) rank after.
         ticks = sink.sample_times
         self.starts_pre = TickLog(ticks, inclusive=True)
-        self.starts_post = TickLog(ticks, inclusive=False)
         self.enqueued = TickLog(ticks, inclusive=True)
         self.dequeued_pre = TickLog(ticks, inclusive=True)
-        self.dequeued_post = TickLog(ticks, inclusive=False)
+        self.popped = TickLog(ticks, inclusive=False)
         self.kills = TickLog(ticks, inclusive=True)
         self.completion_log = TickLog(ticks, inclusive=False)
         # Completions in canonical order: scalars, then array parts.
@@ -792,25 +787,23 @@ class _ControlRun:
             self.drop_times.clear()
             self.drop_reasons.clear()
         for log in (
-            self.starts_pre, self.starts_post, self.enqueued,
-            self.dequeued_pre, self.dequeued_post, self.kills,
-            self.completion_log,
+            self.starts_pre, self.enqueued, self.dequeued_pre,
+            self.popped, self.kills, self.completion_log,
         ):
             log.count()
 
     def finalize(self):
         self.fold()
         sink = self.sink
+        popped = self.popped.series()
         sink.busy_instances = (
             self.starts_pre.series()
-            + self.starts_post.series()
+            + popped
             - self.completion_log.series()
             - self.kills.series()
         )
         sink.queue_depth = (
-            self.enqueued.series()
-            - self.dequeued_pre.series()
-            - self.dequeued_post.series()
+            self.enqueued.series() - self.dequeued_pre.series() - popped
         )
         if self.controlled:
             sink.live_instances = _live_series(self.state, sink.sample_times)
@@ -854,7 +847,8 @@ class _ControlRun:
             (now + effective, seq, orig_arrival, app_id, orig_seq, attempt)
         )
         self.busy += 1
-        (self.starts_pre if pre_tick else self.starts_post).append(now)
+        if pre_tick:  # a post-tick start is a pop ``dispatch`` logs
+            self.starts_pre.append(now)
 
     def fail(
         self, app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
@@ -910,7 +904,7 @@ class _ControlRun:
                 if request[0] in queued:
                     break
         self.unqueue(request[0])
-        (self.dequeued_pre if pre_tick else self.dequeued_post).append(now)
+        (self.dequeued_pre if pre_tick else self.popped).append(now)
         self.start(
             request[1], now, request[4], request[2], request[3], pre_tick
         )
@@ -926,10 +920,8 @@ class _ControlRun:
             self.shed_drop(now)
             return
         if self.busy < self.cap:
-            self.observe_app(self.app_names[app_id])
             self.start(app_id, now, orig_arrival, orig_seq, attempt, True)
         elif len(self.queued) < self.qmax:
-            self.observe_app(self.app_names[app_id])
             key = self.prefixes[app_id] + (qseq,)
             if self.fifo_rack and qseq < self.n:
                 self.fifo_queue.append(request)
@@ -1092,12 +1084,6 @@ class _ControlRun:
 
     # ---- batched passes ------------------------------------------------
 
-    def observe(self, ids: np.ndarray) -> None:
-        """Show the policy's coverage hook each app in ``ids`` once, in
-        app-id order: its set-like contract, once per committed window."""
-        for app_id in np.flatnonzero(np.bincount(ids)).tolist():
-            self.observe_app(self.app_names[app_id])
-
     def resize_window(self, whole: bool) -> None:
         """Grow the next window after a whole one, shrink it after a
         cut, so drop bursts do not waste vector work."""
@@ -1204,7 +1190,6 @@ class _ControlRun:
             shed_at = np.nonzero(~mask[:committed])[0]
             self.drop_times.extend(arr[shed_at].tolist())
             self.drop_reasons.extend([REASON_SHED] * int(shed_at.size))
-        self.observe(ids_adm[:cut])
         if hedge is not None:
             self.hedges_launched += int(
                 np.count_nonzero(effective_first[:cut] > hedge)
@@ -1269,7 +1254,6 @@ class _ControlRun:
             int(state.tokens) if gating and state.tokens is not None else _INF
         )
         spent = 0
-        observed = [False] * self.n_apps
         reader = self.reader
         runs = reader.runs
         read = reader.read
@@ -1454,10 +1438,6 @@ class _ControlRun:
                     app_id, request[2], request[3], request[4],
                     REASON_QUEUE_FULL, t,
                 )
-                continue
-            if not observed[app_id]:
-                observed[app_id] = True
-                self.observe_app(self.app_names[app_id])
 
         reader.close()
         self.fifo_head = h
@@ -1491,8 +1471,7 @@ class _ControlRun:
             (self.starts_pre, immediate),
             (self.enqueued, enqueued),
             (self.dequeued_pre, timed_out),
-            (self.dequeued_post, popped),
-            (self.starts_post, popped),
+            (self.popped, popped),
         ):
             if times:
                 log.extend(np.array(times))
@@ -1632,7 +1611,6 @@ class _ControlRun:
                 admitted = int(counts[cut - 1])
                 dropped = dropped[:late]
         self.pools.commit(admitted)
-        self.observe(ids_kept[:admitted])
         if cut < m:
             # The closed form held for ``cut`` arrivals and will hold
             # about as far in the next window (a deep queue cuts every
@@ -1651,8 +1629,7 @@ class _ControlRun:
         starts = frees[waits]
         self.starts_pre.extend(arr[~waits])
         self.enqueued.extend(arr[waits])
-        self.dequeued_post.extend(starts)
-        self.starts_post.extend(starts)
+        self.popped.extend(starts)
         self.begin(
             comps[:admitted], arr, ids_kept[:admitted],
             kept[:admitted] + (self.base + i),
@@ -1682,7 +1659,6 @@ class _ControlRun:
         prefixes = self.prefixes
         app_names = self.app_names
         service_time = self.service_time
-        observe_app = self.observe_app
         log_enqueue = self.enqueued.append
         cap = self.cap
         qmax = self.qmax
@@ -1721,7 +1697,6 @@ class _ControlRun:
                     break
             if len(qheap) < qmax:
                 app_id = ids_list[i]
-                observe_app(app_names[app_id])
                 qseq = base + i
                 entry = prefixes[app_id] + (qseq, app_id, qseq, 0, now)
                 heappush(qheap, entry)
@@ -1745,9 +1720,7 @@ class _ControlRun:
         an equal-time sample tick), in start order: columns of
         completion, original arrival, app id and trace index."""
         if len(pops):
-            popped = np.array(pops)
-            self.dequeued_post.extend(popped)
-            self.starts_post.extend(popped)
+            self.popped.extend(np.array(pops))
             self.begin(
                 dones, arrivals, apps, origs,
                 np.zeros(len(pops), dtype=np.int64),

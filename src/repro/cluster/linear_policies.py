@@ -4,13 +4,10 @@ These are the imperative policy implementations the priority-key
 refactor (``cluster/policy_keys.py`` / ``cluster/schedulers.py``)
 retired: an append-only list with a linear ``min`` + ``list.remove``
 pop — O(queue) per dispatch, quadratic under saturation.  They are kept
-**verbatim** as reference oracles:
-
-- ``tests/test_policy_property.py`` replays randomized push/pop streams
-  through them and the heap-backed policies, asserting identical pop
-  order; and
-- ``scripts/bench_policy.py`` times one of them against the keyed
-  engines to document what the refactor retired (``BENCH_policy.json``).
+**verbatim** as reference oracles: ``tests/test_policy_property.py``
+replays randomized push/pop streams through them and the heap-backed
+policies, asserting identical pop order.  They have push/pop/len only,
+so a :class:`~repro.cluster.simulation.RackSimulation` rejects them.
 
 Do not modernise, optimise, or otherwise change the behaviour of this
 module — its whole value is staying exactly what the seed shipped.  New

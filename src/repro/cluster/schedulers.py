@@ -22,7 +22,10 @@ sequence tie-break) driving a heap-backed
 dispatch where the old imperative implementations paid a linear ``min``
 + ``list.remove``.  The same key object also drives the rack kernel
 (:func:`~repro.cluster.control_engine.control_kernel`), so the two
-backends cannot drift apart on what a policy *means*.
+backends cannot drift apart on what a policy *means*.  It is the one
+policy contract: every engine rejects anything else, and shows a
+policy's coverage hook the trace's application catalog once, when the
+run starts.
 
 Policies only reorder the queue; admission (queue depth) and the
 run-to-completion execution model stay exactly as in the paper.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Protocol, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.cluster.policy_keys import (
     DEFAULT_CRITICALITY,
@@ -59,39 +62,13 @@ class QueuedRequest:
     sequence: int  # admission order, for stable tie-breaking
 
 
-class SchedulingPolicy(Protocol):
-    """Interface: maintain a queue of :class:`QueuedRequest`."""
-
-    def push(self, request: QueuedRequest) -> None:
-        """Admit a request into the queue."""
-
-    def pop(self) -> QueuedRequest:
-        """Remove and return the next request to run."""
-
-    def observe_app(self, app_name: str) -> None:
-        """Coverage hook: every admitted application is observed.
-
-        Optional for external policies — the simulator tolerates its
-        absence on implementations of the pre-hook protocol.
-        """
-
-    def __len__(self) -> int:
-        """Number of queued requests."""
-
-
 class KeyedPolicy:
     """A scheduling policy defined entirely by its :class:`PolicyKey`.
 
     ``pop`` returns the queued request minimizing
     ``(*key.key_for(app), sequence)`` — the declarative core every
-    concrete policy shares.  Subclasses configure the key and may hook
-    :meth:`observe_app` for coverage accounting: every application with
-    at least one *admitted* request (queued or started immediately) is
-    observed on every backend, but the vectorized engine coalesces
-    observations to one call per application per batch — so overrides
-    must be set-like (as :attr:`ShortestJobFirstPolicy.unknown_apps`
-    is), not exact per-request counters.  Dropped requests are never
-    observed.
+    concrete policy shares.  Subclasses configure the key and may
+    override the coverage hook for coverage accounting.
     """
 
     def __init__(self, key: PolicyKey) -> None:
@@ -102,10 +79,18 @@ class KeyedPolicy:
         return (*self.key.key_for(request.app_name), request.sequence)
 
     def observe_app(self, app_name: str) -> None:
-        """Admission hook; the base policy has nothing to record."""
+        """Coverage hook; the base policy has nothing to record.
+
+        When a run starts,
+        :meth:`~repro.cluster.simulation.RackSimulation.run` calls it
+        once per application the trace's catalog names, in catalog
+        order, on every engine and before any service draw — whether or
+        not any of the app's requests is admitted.  Nothing else calls
+        it (``push`` does not), and it must not touch the queue or the
+        key.
+        """
 
     def push(self, request: QueuedRequest) -> None:
-        self.observe_app(request.app_name)
         self._queue.push(self.sort_key(request), request)
 
     def pop(self) -> QueuedRequest:
@@ -132,7 +117,6 @@ class FCFSPolicy(KeyedPolicy):
         self._fifo: Deque[QueuedRequest] = deque()
 
     def push(self, request: QueuedRequest) -> None:
-        self.observe_app(request.app_name)
         self._fifo.append(request)
 
     def pop(self) -> QueuedRequest:
@@ -152,10 +136,11 @@ class ShortestJobFirstPolicy(KeyedPolicy):
     order so the policy is deterministic and starvation-bounded for equal
     estimates.
 
-    Applications admitted without an estimate — whether they queued or
-    started immediately — are logged on first sight and collected in
-    :attr:`unknown_apps`, so sweeps can assert their estimate tables
-    actually cover the trace even when the fleet never congests.
+    Applications the trace names without an estimate are logged once
+    and collected in :attr:`unknown_apps` when the run starts (the
+    coverage hook sees the trace's catalog), so sweeps can assert their
+    estimate tables actually cover the trace — whether the fleet
+    congests or not, and whatever became of the app's requests.
     """
 
     def __init__(self, service_estimates: Dict[str, float]) -> None:
@@ -172,7 +157,7 @@ class ShortestJobFirstPolicy(KeyedPolicy):
 
     @property
     def unknown_apps(self) -> Tuple[str, ...]:
-        """Apps admitted without an estimate, in sorted order."""
+        """Observed apps without an estimate, in sorted order."""
         return tuple(sorted(self._unknown))
 
 

@@ -24,12 +24,11 @@ Two kinds of engine produce those series:
   batches; on a run with nothing active, congested ones by the FCFS
   recurrence when every key ties, else a primitive-heap loop.
 
-The default ``engine="auto"`` vectorizes any keyed policy on a
-time-ordered trace; the event-driven oracle remains the fallback for
-unsorted traces and policies outside the keyed protocol.  A vectorized
-run is the kernel over one whole-trace chunk, folded into a retaining
-:class:`SeriesSink`; ``engine="streaming"`` runs the same kernel over
-bounded chunks, folded into a
+The default ``engine="auto"`` vectorizes every run on a time-ordered
+trace; the event-driven oracle remains the fallback for unsorted
+traces.  A vectorized run is the kernel over one whole-trace chunk,
+folded into a retaining :class:`SeriesSink`; ``engine="streaming"``
+runs the same kernel over bounded chunks, folded into a
 :class:`~repro.cluster.streaming.StreamedSeries`.
 
 Faults, retries and a control plane change only what the kernel is
@@ -46,7 +45,10 @@ label it for the benchmark's probes: ``run_vectorized`` (FCFS) and
 (active plane) otherwise.
 
 Every engine rejects a trace naming an application the simulation does
-not know, before any service draw.
+not know, and a policy that is not a
+:class:`~repro.cluster.schedulers.KeyedPolicy`, before any service
+draw; then it shows the policy's coverage hook the trace's application
+catalog, once per app.
 """
 
 from __future__ import annotations
@@ -478,6 +480,14 @@ class RackSimulation:
     ) -> SimulationSeries:
         """Simulate ``trace`` and return the measurement series.
 
+        Whatever the engine, the run first rejects a trace naming an
+        unknown application (:class:`~repro.errors.SchedulingError`) and
+        a policy that is not a
+        :class:`~repro.cluster.schedulers.KeyedPolicy`
+        (:class:`~repro.errors.ConfigurationError`), then calls the
+        policy's coverage hook once per name in ``trace.app_catalog``,
+        in catalog order, before any service draw.
+
         ``engine`` selects the execution strategy: ``"event"`` forces the
         event-driven oracle, ``"vectorized"`` the rack kernel over one
         whole-trace chunk (unsorted traces transparently fall back to
@@ -512,7 +522,16 @@ class RackSimulation:
             queue = self._policy_factory.build()
         else:
             queue = FCFSPolicy()
+        if not isinstance(queue, KeyedPolicy):
+            raise ConfigurationError(
+                "RackSimulation requires a keyed policy (a "
+                "repro.cluster.schedulers.KeyedPolicy, ordered by a "
+                "repro.cluster.policy_keys.PolicyKey); got "
+                f"{type(queue).__name__}"
+            )
         self._last_policy = queue
+        for app_name in trace.app_catalog:
+            queue.observe_app(app_name)
 
         if engine == "streaming":
             from repro.cluster.streaming import run_streaming
@@ -527,7 +546,7 @@ class RackSimulation:
                 self, queue, trace, sample_interval_seconds, chunk_requests
             )
 
-        dynamics = self._fault_dynamics(queue, trace)
+        dynamics = self._fault_dynamics(trace)
         if dynamics is not None:
             from repro.cluster.chaos_engine import run_chaos_vectorized
             from repro.cluster.control_engine import (
@@ -551,11 +570,7 @@ class RackSimulation:
                 timeline, retry, plane,
             )
 
-        if (
-            engine != "event"
-            and isinstance(queue, KeyedPolicy)
-            and self._time_ordered(trace)
-        ):
+        if engine != "event" and self._time_ordered(trace):
             # One kernel; its entries only label the run for the
             # benchmark's probes, which wrap each by name.
             entry = run_vectorized if type(queue) is FCFSPolicy else run_keyed
@@ -578,17 +593,9 @@ class RackSimulation:
             done = now + service
             events.push(Event(done, on_completion, (request, done)))
 
-        # Queued requests are observed by push; immediate starts are
-        # observed on arrival so coverage accounting (e.g. SJF
-        # unknown_apps) sees every admitted application.  External
-        # policies written against the pre-hook protocol may not
-        # implement observe_app — tolerate its absence.
-        observe_app = getattr(queue, "observe_app", lambda app_name: None)
-
         def on_arrival(payload) -> None:
             request, now = payload
             if busy < self._max_instances:
-                observe_app(request.app_name)
                 start_service(request, now)
             elif len(queue) < self._queue_depth:
                 queue.push(request)
@@ -658,7 +665,7 @@ class RackSimulation:
         return self._control is not None and self._control.active
 
     def _fault_dynamics(
-        self, queue, trace
+        self, trace
     ) -> Optional[Tuple[FaultTimeline, RetryPolicy, ControlPlane]]:
         """Timeline, retry policy and control plane of a fault-aware run.
 
@@ -673,13 +680,6 @@ class RackSimulation:
         control = self._control_active()
         if not (control or self._chaos_active()):
             return None
-        if not isinstance(queue, KeyedPolicy):
-            raise ConfigurationError(
-                "fault injection, retries and the control plane require "
-                "a keyed policy (one built on "
-                "repro.cluster.policy_keys.PolicyKey); got "
-                f"{type(queue).__name__}"
-            )
         return (
             self._fault_timeline(trace),
             self._retry if self._retry is not None else RetryPolicy(),

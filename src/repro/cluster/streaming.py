@@ -51,6 +51,7 @@ per-bucket folds are one minute wide.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
@@ -58,11 +59,10 @@ import numpy as np
 from repro.cluster.control_engine import control_kernel, quiet_dynamics
 from repro.cluster.fast_engine import sample_tick_times
 from repro.cluster.faults import DROP_REASONS
-from repro.cluster.schedulers import KeyedPolicy
-from repro.errors import ConfigurationError
 from repro.sim.stats import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.cluster.schedulers import KeyedPolicy
     from repro.cluster.simulation import RackSimulation, SimulationSeries
 
 _INF = float("inf")
@@ -385,7 +385,7 @@ class StreamedSeries:
 
 def run_streaming(
     sim: "RackSimulation",
-    queue,
+    queue: "KeyedPolicy",
     source,
     sample_interval_seconds: float,
     chunk_requests: Optional[int] = None,
@@ -393,12 +393,12 @@ def run_streaming(
     """Run ``source`` on the rack kernel, folding bounded chunks into a
     :class:`StreamedSeries`.
 
-    Mirrors :meth:`RackSimulation.run`'s routing, with the same
-    configuration errors: the kernel gets the active fault, retry and
-    control configuration (an inert plane when only faults or retries
-    are active), or with nothing active an empty timeline,
-    ``RetryPolicy()`` and ``ControlPlane()`` for any keyed policy (FCFS
-    included).
+    Called by :meth:`RackSimulation.run
+    <repro.cluster.simulation.RackSimulation.run>` once it has checked
+    the run and its keyed policy: the kernel gets the active fault,
+    retry and control configuration (an inert plane when only faults or
+    retries are active), or with nothing active an empty timeline,
+    ``RetryPolicy()`` and ``ControlPlane()``.
 
     Generator-backed sources additionally run the simulation's service
     pools bounded (``sim.pools.bounded``): with no materialized trace
@@ -416,25 +416,12 @@ def run_streaming(
         total_requests=source.total_requests,
         app_catalog=tuple(source.app_catalog),
     )
-    if isinstance(source, RequestTrace):
-        return _dispatch_streaming(sim, queue, source, sink, chunk_requests)
-    with sim.pools.bounded(chunk_requests):
-        return _dispatch_streaming(sim, queue, source, sink, chunk_requests)
-
-
-def _dispatch_streaming(
-    sim: "RackSimulation",
-    queue,
-    source,
-    sink: StreamedSeries,
-    chunk_requests: int,
-) -> StreamedSeries:
-    dynamics = sim._fault_dynamics(queue, source)
-    if dynamics is None:
-        if not isinstance(queue, KeyedPolicy):
-            raise ConfigurationError(
-                "engine='streaming' requires FCFS or a keyed policy; got "
-                f"{type(queue).__name__}"
-            )
-        dynamics = quiet_dynamics(sim)
-    return control_kernel(sim, queue, source, sink, chunk_requests, *dynamics)
+    with (
+        nullcontext()
+        if isinstance(source, RequestTrace)
+        else sim.pools.bounded(chunk_requests)
+    ):
+        dynamics = sim._fault_dynamics(source) or quiet_dynamics(sim)
+        return control_kernel(
+            sim, queue, source, sink, chunk_requests, *dynamics
+        )

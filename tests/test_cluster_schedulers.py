@@ -63,18 +63,21 @@ class TestSJF:
     def test_unknown_apps_collected_and_logged_once(self, caplog):
         policy = ShortestJobFirstPolicy({"known": 5.0})
         with caplog.at_level("WARNING", logger="repro.cluster.schedulers"):
-            policy.push(request("mystery", 0))
-            policy.push(request("mystery", 1))
-            policy.push(request("ghost", 2))
-            policy.push(request("known", 3))
+            for app in ("mystery", "mystery", "ghost", "known"):
+                policy.observe_app(app)
         assert policy.unknown_apps == ("ghost", "mystery")
         logged = [r for r in caplog.records if "no service estimate" in r.message]
-        assert len(logged) == 2  # once per unknown app, not per request
+        assert len(logged) == 2  # once per unknown app, not per call
 
     def test_full_coverage_leaves_unknowns_empty(self):
         policy = ShortestJobFirstPolicy({"a": 1.0, "b": 2.0})
-        policy.push(request("a", 0))
-        policy.push(request("b", 1))
+        policy.observe_app("a")
+        policy.observe_app("b")
+        assert policy.unknown_apps == ()
+
+    def test_push_does_not_observe(self):
+        policy = ShortestJobFirstPolicy({"known": 5.0})
+        policy.push(request("mystery", 0))
         assert policy.unknown_apps == ()
 
     def test_rejects_bad_estimates(self):

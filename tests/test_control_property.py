@@ -21,10 +21,10 @@ or plane, a second strategy draws FCFS, multi-class SJF and
 criticality, one-class criticality, the (tied) DAG key and an FCFS
 subclass with a coverage hook, short queues from a single instance up
 and deep ones that fill, and the run settings and seeds, against the
-inline oracle — including what the policy's coverage hook saw.  A fixed
-deep-queue FCFS case spies on pass B's bulk queue-full drops and cuts,
-and the closed-form admission count is checked against the serial rule
-it replaces.
+inline oracle; on both sides that hook must have seen the trace's
+catalog.  A fixed deep-queue FCFS case spies on pass B's bulk
+queue-full drops and cuts, and the closed-form admission count is
+checked against the serial rule it replaces.
 """
 
 import numpy as np
@@ -175,14 +175,6 @@ def simulation_kwargs(config, suite, estimates):
     )
 
 
-def coverage(policy):
-    """What a policy's coverage hook recorded."""
-    return (
-        getattr(policy, "unknown_apps", None),
-        getattr(policy, "seen", None),
-    )
-
-
 def run_and_compare(model, suite, trace, kwargs, chunk):
     oracle_sim = RackSimulation(model, suite, **kwargs)
     oracle = oracle_sim.run(trace, engine="event")
@@ -196,7 +188,9 @@ def run_and_compare(model, suite, trace, kwargs, chunk):
     # A streamed run compacts its pools: they must agree wherever both
     # runs still hold samples.
     assert_same_draws(sim, oracle_sim)
-    assert coverage(sim.last_policy) == coverage(oracle_sim.last_policy)
+    for policy in (sim.last_policy, oracle_sim.last_policy):
+        if isinstance(policy, ObservingFCFS):
+            assert policy.seen == set(trace.app_catalog)
     return oracle
 
 
@@ -214,7 +208,7 @@ def test_control_kernel_matches_oracle(config, model, suite, estimates):
 
 
 class ObservingFCFS(FCFSPolicy):
-    """FCFS with a coverage hook: records every admitted app."""
+    """FCFS with a coverage hook: records every app it is shown."""
 
     def __init__(self):
         super().__init__()

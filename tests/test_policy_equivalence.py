@@ -9,7 +9,9 @@ sample times, queue depth, busy instances, completion times, latencies,
 drops, RNG end state, and service-pool state — across seeds, platforms,
 and congestion/drop regimes.  Every such run, materialized or streamed,
 must enter that kernel; racks whose keys all tie must take its FIFO
-branch, and any other rack its key-heap branch.
+branch, and any other rack its key-heap branch.  Every engine shows a
+policy's coverage hook the trace's catalog once and rejects a queue
+that is not a keyed policy before any draw.
 """
 
 import sys
@@ -20,14 +22,18 @@ import pytest
 from repro.cluster import control_engine
 from repro.cluster import simulation as simulation_module
 from repro.cluster.control import observer_plane
-from repro.cluster.faults import RetryPolicy
+from repro.cluster.faults import FaultSchedule, RetryPolicy
 from repro.cluster.policy_engine import run_keyed
-from repro.cluster.schedulers import PolicyFactory
+from repro.cluster.schedulers import (
+    FCFSPolicy,
+    PolicyFactory,
+    ShortestJobFirstPolicy,
+)
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.streaming import StreamedSeries
 from repro.cluster.trace import RequestTrace, TraceGenerator
 from repro.core.model import ServerlessExecutionModel
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.experiments.benchmarks import benchmark_suite
 from repro.platforms.registry import baseline_cpu, dscs_dsa
 from tests.conftest import assert_same_draws
@@ -87,6 +93,15 @@ def make_trace(suite, scale, seed):
         segment_seconds=20.0,
     )
     return generator.generate(np.random.default_rng(seed))
+
+
+def reversed_trace(trace):
+    """``trace`` with its requests in reverse order: unsorted arrivals."""
+    return RequestTrace(
+        arrival_seconds=trace.arrival_seconds[::-1].copy(),
+        app_names=tuple(reversed(trace.app_names)),
+        duration_seconds=trace.duration_seconds,
+    )
 
 
 def run_both(model, suite, factory, trace, **kwargs):
@@ -225,12 +240,7 @@ def test_unsorted_trace_still_falls_back_to_event(
     suite, models, estimates, monkeypatch
 ):
     """The keyed engine assumes time-ordered arrivals; others fall back."""
-    base = make_trace(suite, 0.02, 1)
-    shuffled = RequestTrace(
-        arrival_seconds=base.arrival_seconds[::-1].copy(),
-        app_names=tuple(reversed(base.app_names)),
-        duration_seconds=base.duration_seconds,
-    )
+    shuffled = reversed_trace(make_trace(suite, 0.02, 1))
     factory = make_factory("sjf", suite, estimates)
     entered = spy_on_kernel_entries(monkeypatch)
     fast = RackSimulation(
@@ -270,7 +280,7 @@ def test_unknown_app_coverage_matches_across_engines(suite, models):
         sim.run(trace, engine=engine)
         unknowns[engine] = sim.last_policy.unknown_apps
     assert unknowns["event"] == unknowns["vectorized"]
-    # Every admitted app outside the estimate set was observed.
+    # Every app of the trace outside the estimate set was observed.
     assert set(unknowns["event"]) == set(suite) - set(partial)
 
     # Coverage accounting must work even when the fleet never congests
@@ -288,38 +298,57 @@ def test_unknown_app_coverage_matches_across_engines(suite, models):
         assert set(sim.last_policy.unknown_apps) == set(suite) - set(partial)
 
 
+class RecordingFCFS(FCFSPolicy):
+    """FCFS whose coverage hook records every call, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def observe_app(self, app_name):
+        self.seen.append(app_name)
+
+
+class RecordingSJF(ShortestJobFirstPolicy):
+    """SJF whose coverage hook records every call, in order."""
+
+    def __init__(self, service_estimates):
+        super().__init__(service_estimates)
+        self.seen = []
+
+    def observe_app(self, app_name):
+        self.seen.append(app_name)
+        super().observe_app(app_name)
+
+
+class Builds:
+    """A policy factory building ``make()``."""
+
+    def __init__(self, make):
+        self.build = make
+
+
 def test_fcfs_subclass_with_coverage_hook_routes_to_keyed_engine(
     suite, models, monkeypatch
 ):
     """An FCFS subclass carrying a coverage hook enters the fault-free
     kernel through the keyed entry (only plain FCFS takes
     ``run_vectorized``) — same results, hook honoured on both engines."""
-    from repro.cluster.schedulers import FCFSPolicy
-
-    class ObservingFCFS(FCFSPolicy):
-        def __init__(self):
-            super().__init__()
-            self.seen = set()
-
-        def observe_app(self, app_name):
-            self.seen.add(app_name)
-
-    class Factory:
-        def build(self):
-            return ObservingFCFS()
-
     trace = make_trace(suite, 0.02, 1)
     sim = RackSimulation(
-        models["baseline"], suite, max_instances=4, seed=1, policy=Factory()
+        models["baseline"], suite, max_instances=4, seed=1,
+        policy=Builds(RecordingFCFS),
     )
     entered = spy_on_kernel_entries(monkeypatch)
     series = sim.run(trace, engine="vectorized")
     assert entered == ["run_keyed"]
     event_sim = RackSimulation(
-        models["baseline"], suite, max_instances=4, seed=1, policy=Factory()
+        models["baseline"], suite, max_instances=4, seed=1,
+        policy=Builds(RecordingFCFS),
     )
     assert series.identical_to(event_sim.run(trace, engine="event"))
-    assert sim.last_policy.seen == event_sim.last_policy.seen == set(suite)
+    assert sim.last_policy.seen == event_sim.last_policy.seen
+    assert set(sim.last_policy.seen) == set(suite)
 
 
 # Congested-stretch branch each policy must take on the benchmark suite:
@@ -441,36 +470,111 @@ def test_tied_key_racks_take_fifo_branch(
         assert set(unknown) == set(suite)
 
 
-def test_pre_hook_external_policy_still_runs(suite, models):
-    """Policies written against the old push/pop/len protocol (no
-    observe_app) must still run on the event path."""
+# Run configurations the catalog contract holds on: nothing active,
+# slowdown faults with timeouts and fast retries, and an active plane.
+CATALOG_CONFIGS = {
+    "nothing active": {},
+    "faults and retries": dict(
+        faults=FaultSchedule(
+            slowdown_rate_per_minute=6.0, slowdown_duration_seconds=5.0
+        ),
+        retry=RetryPolicy(
+            timeout_seconds=60.0, max_retries=2, backoff_base_seconds=0.001
+        ),
+    ),
+    "active plane": dict(control=observer_plane(1)),
+}
 
-    class OldProtocolFCFS:
-        def __init__(self):
-            self._queue = []
 
-        def push(self, request):
-            self._queue.append(request)
-
-        def pop(self):
-            return self._queue.pop(0)
-
-        def __len__(self):
-            return len(self._queue)
-
-    class Factory:
-        def build(self):
-            return OldProtocolFCFS()
-
-    trace = make_trace(suite, 0.02, 1)
-    sim = RackSimulation(
-        models["baseline"], suite, max_instances=4, seed=1, policy=Factory()
+def catalog_trace(suite):
+    """A trace whose catalog is not in sorted order and whose last app's
+    one request is dropped: on a rack of one instance and a queue one
+    deep it arrives at 0 s behind a request in service and one waiting,
+    and its retries re-arrive within 3 ms (services take 90 ms or
+    more).  The other requests, 10 s apart, all complete."""
+    names = sorted(suite)
+    kept, waiting, dropped = names[2], names[0], names[1]
+    return RequestTrace(
+        arrival_seconds=np.array([0.0, 0.0, 0.0] + [10.0, 20.0, 30.0, 40.0]),
+        app_names=(kept, waiting, dropped, kept, waiting, kept, waiting),
+        duration_seconds=50.0,
     )
-    series = sim.run(trace)  # not a KeyedPolicy: auto falls back to event
-    reference = RackSimulation(
-        models["baseline"], suite, max_instances=4, seed=1
-    ).run(trace, engine="event")
-    assert series.identical_to(reference)
+
+
+@pytest.mark.parametrize("config", sorted(CATALOG_CONFIGS))
+@pytest.mark.parametrize("engine", ("event", "vectorized", "streaming"))
+def test_coverage_hook_sees_the_trace_catalog_once(
+    suite, models, estimates, engine, config
+):
+    """Every engine shows the coverage hook each app the trace names,
+    once and in catalog order — also an app whose every request is
+    dropped, which SJF therefore lists as unestimated."""
+    trace = catalog_trace(suite)
+    catalog = list(trace.app_catalog)
+    assert catalog != sorted(catalog)
+    kept = catalog[0]
+    factories = {
+        "fcfs": Builds(RecordingFCFS),
+        "sjf": Builds(lambda: RecordingSJF({kept: estimates[kept]})),
+    }
+    for name, factory in factories.items():
+        sim = RackSimulation(
+            models["baseline"],
+            suite,
+            max_instances=1,
+            queue_depth=1,
+            seed=1,
+            policy=factory,
+            **CATALOG_CONFIGS[config],
+        )
+        if engine == "streaming":
+            series = sim.run(trace, engine=engine, chunk_requests=7)
+        else:
+            series = sim.run(trace, engine=engine)
+        assert series.dropped_requests == 1, (name, config)
+        assert series.completed_count == len(trace) - 1
+        assert sim.last_policy.seen == catalog, (name, config)
+        if name == "sjf":
+            assert sim.last_policy.unknown_apps == tuple(sorted(catalog[1:]))
+
+
+class PushPopQueue:
+    """A queue with only push, pop and len: not a keyed policy."""
+
+    def __init__(self):
+        self._queue = []
+
+    def push(self, request):
+        self._queue.append(request)
+
+    def pop(self):
+        return self._queue.pop(0)
+
+    def __len__(self):
+        return len(self._queue)
+
+
+@pytest.mark.parametrize("ordered", (True, False))
+@pytest.mark.parametrize(
+    "engine", ("auto", "event", "vectorized", "streaming")
+)
+def test_push_pop_only_policy_is_rejected(suite, models, engine, ordered):
+    """A policy outside the keyed protocol is rejected on every engine,
+    for a sorted and an unsorted trace, before any service draw."""
+    trace = make_trace(suite, 0.02, 1)
+    if not ordered:
+        trace = reversed_trace(trace)
+    sim = RackSimulation(
+        models["baseline"],
+        suite,
+        max_instances=4,
+        seed=1,
+        policy=Builds(PushPopQueue),
+    )
+    with pytest.raises(ConfigurationError, match="keyed policy"):
+        sim.run(trace, engine=engine)
+    assert sim.pools.cursors() == {}
+    assert sim.last_policy is None
 
 
 # Engine families an unknown application must fail identically on.

@@ -33,13 +33,14 @@ from repro.cluster.control import (
     ControlPlane,
     OverloadPolicy,
 )
+from repro.cluster.control_engine import control_kernel, quiet_dynamics
 from repro.cluster.fast_engine import TickLog, sample_tick_times
 from repro.cluster.faults import FaultSchedule, RetryPolicy
 from repro.cluster.fleet import FleetTopology
 from repro.cluster.fleet_engine import FleetRunner
 from repro.cluster.schedulers import FCFSPolicy, PolicyFactory
 from repro.cluster.simulation import RackSimulation, SeriesSink
-from repro.cluster.streaming import StreamedSeries, _dispatch_streaming
+from repro.cluster.streaming import StreamedSeries
 from repro.cluster.trace import RequestTrace, TraceGenerator
 from repro.core.model import ServerlessExecutionModel
 from repro.errors import ConfigurationError
@@ -238,8 +239,12 @@ def test_chunked_fold_keeps_request_order(family, model, suite):
         )
         factory = simulation._policy_factory
         policy = factory.build() if factory is not None else FCFSPolicy()
-        chunked = _dispatch_streaming(
-            simulation, policy, trace, SeriesSink(trace, 1.0), chunk
+        dynamics = simulation._fault_dynamics(trace) or quiet_dynamics(
+            simulation
+        )
+        chunked = control_kernel(
+            simulation, policy, trace, SeriesSink(trace, 1.0), chunk,
+            *dynamics,
         )
         assert chunked.identical_to(reference), (family, chunk)
         assert np.array_equal(
